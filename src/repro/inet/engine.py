@@ -16,17 +16,18 @@ convergence.
 
 The trick that makes the route table sufficient: in each propagation
 phase, every AS on a candidate's path is already *finalized* (it either
-originated the route or was popped from the phase heap earlier), so the
+originated the route or settled at an earlier level), so the
 reference's ``neighbor not in path`` loop check decomposes exactly into
 
 * "neighbor already holds a route" — one bitmap read, and
 * "neighbor's ASN appears in the origin's export path" (prepends and
-  poison sentinels) — one frozenset membership test.
+  poison sentinels) — folded into the same bitmap.
 
-Neither needs the path.  Index order is ASN order, so integer heap
-entries tie-break identically to the reference's ASN/path comparisons —
-the engine is route-for-route identical to ``propagate()`` (property
-tests in ``tests/test_inet_engine.py`` enforce this).
+Neither needs the path.  Index order is ASN order, so walking each
+path-length level in ascending index tie-breaks identically to the
+reference heap's ASN/path comparisons — the engine is route-for-route
+identical to ``propagate()`` (property tests in
+``tests/test_inet_engine.py`` enforce this).
 
 On top sit an LRU result cache keyed by ``(graph version, canonical
 announcement)`` and :meth:`PropagationEngine.propagate_many`, which fans
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from heapq import heappop, heappush
 from time import perf_counter
@@ -77,10 +79,31 @@ _NO_RANK: Tuple[int, ...] = ()
 SpecT = Tuple[int, Tuple[int, ...], FrozenSet[int], Optional[FrozenSet[int]]]
 TableT = Tuple[bytearray, List[int], List[int], List[int]]
 
+# One origin seed of a _converge level: (origin_index, export_path,
+# spec_index, targets) — sorting seeds orders them by index, then export
+# path, then spec, the reference heap's tie-break among origin offers.
+_SeedT = Tuple[int, Tuple[int, ...], int, List[int]]
+
+# Transient kind code for slots named on every spec's export path: they
+# can never take a route, so _converge marks them settled up front and
+# translates the code back to 0 (unreached) on return.
+_BLOCKED = 5
+_UNBLOCK = bytes(range(_BLOCKED)) + bytes(256 - _BLOCKED)
+
 # _converge_delta gives up (falls back to a full run) when the dirty cone
-# exceeds n / _CONE_BAIL_DEN slots — incremental work on a region that
-# large loses to the heap-free full converge.
-_CONE_BAIL_DEN = 3
+# exceeds n / _CONE_BAIL_DEN slots.  The constant is the measured
+# crossover against the heap-free full converge, rounded to the safe
+# side: on CAIDA-like graphs (bench_propagation --scale cone ladder,
+# bail lifted) the cone path costs ~1.5 ms + ~14 us per withdrawn slot
+# at 50k ASes against a ~10 ms full run and breaks even at 1.0-1.3 % of
+# n there, ~1.4 % at 10k and ~1.6 % at 4k ASes — a fraction of n,
+# because the full run and the cone path's fixed part both scale with
+# n.  0.8 % keeps every cone that runs >= 1.2x ahead of the full run
+# (propagate_delta is "purely an optimisation"): a bail costs the
+# caller ~3 % over the full run it falls back to, an overrun cone
+# grows linearly (0.3x of full at 5 %, 0.15x at 12 %), and past the
+# crossover the odds of a late _DeltaUnsupported only grow.
+_CONE_BAIL_DEN = 125
 
 
 class _DeltaUnsupported(Exception):
@@ -274,284 +297,150 @@ def _converge(
 
     Returns the parent-pointer route table ``(kind, via, root, plen)``:
     ``kind[i]`` is the RouteKind value (0 = unreached; nonzero doubles as
-    the "has a route" bitmap), ``via[i]`` the neighbor index forwarded to
-    (-1 at origins), ``root[i]`` the spec index whose export path
-    terminates i's parent chain, ``plen[i]`` the AS-path length.
+    the "has a route" bitmap), ``via[i]`` the neighbor index forwarded to,
+    ``root[i]`` the spec index whose export path terminates i's parent
+    chain (both -1 at origins and unreached slots), ``plen[i]`` the
+    AS-path length.
 
-    Heap entries encode ``(pathlen, via, target)`` as the single integer
-    ``pathlen*n² + via*n + target``, which orders identically to the
-    reference heap because index order is ASN order.  With one origin
-    spec every key is unique — each (via, target) pair is pushed at most
-    once — so the single-spec fast path heaps bare ints.  With several
-    specs, keys can collide between specs of one origin and the
-    reference breaks that tie by comparing export paths, so entries
-    become ``(key, export_path_rank, spec_index)`` tuples.
+    Heap-free for any number of specs.  Every edge has unit weight, so
+    the reference's per-phase Dijkstra is a BFS by path-length *levels*:
+    a level holds the exporters whose offer has that length, plus the
+    origin specs whose export path has that length (different prepends
+    enter at different levels).  Walking levels in ascending order, each
+    level's exporters in ascending index with origin seeds merged in at
+    their index and ordered by ``(export_path, spec_index)``, makes the
+    first writer of a slot the minimum ``(pathlen, via, target,
+    export_path)`` key — exactly the reference heap's pop order.  All
+    three phases are that one loop (:func:`spread` below) over a
+    different relation: phase 2 simply never re-exports what it settles.
+
+    The reference's two pop-time predicates cost one byte read per edge:
+    "already has a route" is ``kind[t]``, and "ASN appears on the export
+    path" is folded into it — a slot named by *every* spec carries the
+    transient ``_BLOCKED`` code (cleared on return), while a slot named
+    by only some specs sits in the small ``partial`` map and is checked
+    against the exporter's root spec at settle time, so per-spec poison
+    stays exact.  Only slots that have someone to export to enter the
+    next frontier; the stub majority is settled and forgotten.
     """
-    if len(specs) == 1:
-        return _converge_single(ct, *specs[0])
-
     n = ct.n
-    n2 = n * n
     asns = ct.asns
-    providers = ct.providers
-    customers = ct.customers
     peers = ct.peers
-    push_ = heappush
-    pop_ = heappop
 
     kind = bytearray(n)
     via: List[int] = [-1] * n
     root: List[int] = [-1] * n
     plen: List[int] = [0] * n
 
+    named: Dict[int, List[int]] = {}
+    for si, (_oi, _epath, eset, _ato) in enumerate(specs):
+        for asn in eset:
+            named.setdefault(asn, []).append(si)
+    partial: Dict[int, FrozenSet[int]] = {}
+    for asn, by in named.items():
+        i = ct.idx.get(asn)
+        if i is not None:
+            if len(by) == len(specs):
+                kind[i] = _BLOCKED
+            else:
+                partial[i] = frozenset(by)
     for oi, _epath, _eset, _ato in specs:
         kind[oi] = _ORIGIN
-    spec_sets = [s[2] for s in specs]
+        partial.pop(oi, None)
+
+    def origin_seeds(adj: List[Tuple[int, ...]]) -> Dict[int, List[_SeedT]]:
+        """Per level, what each spec offers its origin's ``adj`` side."""
+        seeds: Dict[int, List[_SeedT]] = {}
+        for si, (oi, epath, eset, ato) in enumerate(specs):
+            targets = [
+                t for t in adj[oi]
+                if (ato is None or asns[t] in ato) and asns[t] not in eset
+            ]
+            seeds.setdefault(len(epath), []).append((oi, epath, si, targets))
+        return seeds
+
+    def holders(nodes: Sequence[int]) -> Dict[int, List[int]]:
+        """Route holders among ``nodes``, bucketed by their offer's length."""
+        buckets: Dict[int, List[int]] = {}
+        bucket_of = buckets.setdefault
+        for e in nodes:
+            if via[e] >= 0:
+                bucket_of(plen[e] + 1, []).append(e)
+        return buckets
+
+    def spread(
+        adj: List[Tuple[int, ...]],
+        k: int,
+        buckets: Dict[int, List[int]],
+        seeds: Dict[int, List[_SeedT]],
+    ) -> None:
+        """Settle kind-``k`` routes along ``adj``, level by level."""
+        for lvl in seeds:
+            buckets.setdefault(lvl, [])
+        while buckets:
+            lvl = min(buckets)
+            frontier = buckets.pop(lvl)
+            frontier.sort()
+            stops: List[_SeedT] = sorted(seeds.get(lvl, []))
+            stops.append((n, (), -1, []))  # sentinel: flush the frontier's tail
+            nxt: List[int] = []
+            start = 0
+            for oi, _epath, si, targets in stops:
+                cut = bisect_left(frontier, oi, start)
+                for v in frontier[start:cut]:
+                    r = root[v]
+                    for t in adj[v]:
+                        if not kind[t]:
+                            if partial and t in partial and r in partial[t]:
+                                continue
+                            kind[t] = k
+                            via[t] = v
+                            root[t] = r
+                            plen[t] = lvl
+                            if adj[t]:
+                                nxt.append(t)
+                start = cut
+                for t in targets:
+                    if not kind[t]:
+                        kind[t] = k
+                        via[t] = oi
+                        root[t] = si
+                        plen[t] = lvl
+                        if adj[t]:
+                            nxt.append(t)
+            if nxt and k != _PEER:  # peer routes go to customers only
+                buckets.setdefault(lvl + 1, []).extend(nxt)
 
     # ---- Phase 1: customer routes climb provider edges ---------------------
-    heap: List[Tuple[int, Tuple[int, ...], int]] = []
-    for si, (oi, epath, eset, ato) in enumerate(specs):
-        base = len(epath) * n2 + oi * n
-        for p in providers[oi]:
-            pasn = asns[p]
-            if (ato is None or pasn in ato) and pasn not in eset:
-                push_(heap, (base + p, epath, si))
-    while heap:
-        key, _rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        kind[t] = _CUSTOMER
-        via[t] = rest % n
-        root[t] = si
-        plen[t] = rest // n
-        nbase = key - key % n2 + n2 + t * n  # (pathlen+1, via=t, ·)
-        eset = spec_sets[si]
-        for p in providers[t]:
-            if not kind[p] and asns[p] not in eset:
-                push_(heap, (nbase + p, _NO_RANK, si))
+    spread(ct.providers, _CUSTOMER, {}, origin_seeds(ct.providers))
 
     # ---- Phase 2: one hop across peer edges --------------------------------
-    # Candidates per peer, best (pathlen, exporter) wins; strict < keeps
-    # the earlier (lower-ASN) exporter on ties, as in the reference.
-    specs_of_origin: Dict[int, List[int]] = {}
-    for si, (oi, _epath, _eset, _ato) in enumerate(specs):
-        specs_of_origin.setdefault(oi, []).append(si)
-    cand: Dict[int, Tuple[int, int, int]] = {}
-    for e in ct.peer_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        pe = peers[e]
-        if k == _ORIGIN:
-            # Later specs of the same origin overwrite earlier ones per
-            # peer (reference dict-comprehension semantics).
-            base_spec: Dict[int, Tuple[int, int]] = {}
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                pl = len(epath)
-                for p in pe:
-                    if ato is None or asns[p] in ato:
-                        base_spec[p] = (pl, si)
-            for p, (pl, si) in base_spec.items():
-                if kind[p] or asns[p] in spec_sets[si]:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si)
-        else:
-            pl = plen[e] + 1
-            si = root[e]
-            eset = spec_sets[si]
-            for p in pe:
-                if kind[p] or asns[p] in eset:
-                    continue
-                inc = cand.get(p)
-                if inc is None or pl < inc[0] or (pl == inc[0] and e < inc[1]):
-                    cand[p] = (pl, e, si)
-    for t, (pl, v, si) in cand.items():
-        kind[t] = _PEER
-        via[t] = v
-        root[t] = si
-        plen[t] = pl
+    # An origin offers each peer the *last* of its specs that announces to
+    # it (reference dict-comprehension semantics), poison checked after.
+    chosen_of: Dict[int, Dict[int, int]] = {}
+    for si, (oi, _epath, _eset, ato) in enumerate(specs):
+        chosen = chosen_of.setdefault(oi, {})
+        for p in peers[oi]:
+            if ato is None or asns[p] in ato:
+                chosen[p] = si
+    peer_seeds: Dict[int, List[_SeedT]] = {}
+    for oi, chosen in chosen_of.items():
+        offered: Dict[int, List[int]] = {}
+        for p, si in chosen.items():
+            if asns[p] not in specs[si][2]:
+                offered.setdefault(si, []).append(p)
+        for si, targets in offered.items():
+            epath = specs[si][1]
+            peer_seeds.setdefault(len(epath), []).append((oi, epath, si, targets))
+    spread(peers, _PEER, holders(ct.peer_nodes), peer_seeds)
 
     # ---- Phase 3: routes descend provider->customer edges ------------------
-    heap = []
-    for e in ct.cust_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        cu = customers[e]
-        if k == _ORIGIN:
-            for si in specs_of_origin[e]:
-                _oi, epath, eset, ato = specs[si]
-                base = len(epath) * n2 + e * n
-                for c in cu:
-                    casn = asns[c]
-                    if (ato is None or casn in ato) and casn not in eset:
-                        push_(heap, (base + c, epath, si))
-        else:
-            si = root[e]
-            eset = spec_sets[si]
-            base = (plen[e] + 1) * n2 + e * n
-            for c in cu:
-                if not kind[c] and asns[c] not in eset:
-                    push_(heap, (base + c, _NO_RANK, si))
-    while heap:
-        key, _rank, si = pop_(heap)
-        t = key % n
-        if kind[t]:
-            continue
-        rest = key // n
-        kind[t] = _PROVIDER
-        via[t] = rest % n
-        root[t] = si
-        plen[t] = rest // n
-        nbase = key - key % n2 + n2 + t * n
-        eset = spec_sets[si]
-        for c in customers[t]:
-            if not kind[c] and asns[c] not in eset:
-                push_(heap, (nbase + c, _NO_RANK, si))
+    spread(ct.customers, _PROVIDER, holders(ct.cust_nodes),
+           origin_seeds(ct.customers))
 
+    if _BLOCKED in kind:
+        kind = kind.translate(_UNBLOCK)
     return kind, via, root, plen
-
-
-def _converge_single(
-    ct: CompiledTopology,
-    oi: int,
-    epath: Tuple[int, ...],
-    eset: FrozenSet[int],
-    ato: Optional[FrozenSet[int]],
-) -> TableT:
-    """Single-origin-spec fast path: heap-free, level-synchronous frontier
-    batching.  This is the sweep workhorse.
-
-    With one spec every edge has unit weight, so the phase-1/phase-3
-    Dijkstra degenerates into a BFS by path-length *levels*.  Processing
-    levels in ascending order, and the frontier of each level in
-    ascending exporter index (= ascending via ASN), makes the first
-    writer of a slot the minimum ``(pathlen, via, target)`` key — exactly
-    the reference heap's pop order, without a single heap operation.
-
-    The two pop-time predicates ("already has a route" and "ASN appears
-    on the export path") fuse into one ``avail`` bytearray: a slot is 1
-    iff it is neither settled nor blocked by the export set, so the
-    per-edge inner loop is one C-level index read.
-    """
-    n = ct.n
-    asns = ct.asns
-    providers = ct.providers
-    customers = ct.customers
-    peers = ct.peers
-
-    kind = bytearray(n)
-    via: List[int] = [-1] * n
-    plen: List[int] = [0] * n
-    kind[oi] = _ORIGIN
-    pl0 = len(epath)
-
-    avail = bytearray(b"\x01") * n
-    avail[oi] = 0
-    if len(eset) > 1:  # poison / suffix ASNs present in the graph block slots
-        idx_get = ct.idx.get
-        for blocked_asn in eset:
-            bi = idx_get(blocked_asn)
-            if bi is not None:
-                avail[bi] = 0
-
-    # ---- Phase 1: up provider edges (level-batched BFS) --------------------
-    frontier: List[int] = []
-    for p in providers[oi]:
-        if avail[p] and (ato is None or asns[p] in ato):
-            avail[p] = 0
-            kind[p] = _CUSTOMER
-            via[p] = oi
-            plen[p] = pl0
-            frontier.append(p)
-    lvl = pl0
-    while frontier:
-        frontier.sort()
-        lvl += 1
-        nxt: List[int] = []
-        for v in frontier:
-            for t in providers[v]:
-                if avail[t]:
-                    avail[t] = 0
-                    kind[t] = _CUSTOMER
-                    via[t] = v
-                    plen[t] = lvl
-                    nxt.append(t)
-        frontier = nxt
-
-    # ---- Phase 2: one peer hop ---------------------------------------------
-    # Exporters iterate in ascending index, so the first candidate seen at
-    # a given path length already has the lowest via — the incumbent check
-    # needs only the strict length comparison.
-    cand: Dict[int, Tuple[int, int]] = {}
-    cand_get = cand.get
-    for e in ct.peer_nodes:
-        k = kind[e]
-        if not k:
-            continue
-        if k == _ORIGIN:
-            pl = pl0
-            for p in peers[e]:
-                if not avail[p] or (ato is not None and asns[p] not in ato):
-                    continue
-                inc = cand_get(p)
-                if inc is None or pl < inc[0]:
-                    cand[p] = (pl, e)
-        else:
-            pl = plen[e] + 1
-            for p in peers[e]:
-                if not avail[p]:
-                    continue
-                inc = cand_get(p)
-                if inc is None or pl < inc[0]:
-                    cand[p] = (pl, e)
-    for t, (pl, v) in cand.items():
-        avail[t] = 0
-        kind[t] = _PEER
-        via[t] = v
-        plen[t] = pl
-
-    # ---- Phase 3: down customer edges (bucketed by export path length) ----
-    # Origin exports sit at pl0, strictly below every other exporter
-    # (plen >= pl0 everywhere), so they settle first unconditionally.
-    buckets: Dict[int, List[int]] = {}
-    bucket_of = buckets.setdefault
-    for e in ct.cust_nodes:
-        k = kind[e]
-        if k and k != _ORIGIN:
-            bucket_of(plen[e] + 1, []).append(e)
-    frontier = []
-    for c in customers[oi]:
-        if avail[c] and (ato is None or asns[c] in ato):
-            avail[c] = 0
-            kind[c] = _PROVIDER
-            via[c] = oi
-            plen[c] = pl0
-            frontier.append(c)
-    if frontier:
-        bucket_of(pl0 + 1, []).extend(frontier)
-    while buckets:
-        lvl = min(buckets)
-        frontier = buckets.pop(lvl)
-        frontier.sort()
-        nxt = []
-        for v in frontier:
-            for t in customers[v]:
-                if avail[t]:
-                    avail[t] = 0
-                    kind[t] = _PROVIDER
-                    via[t] = v
-                    plen[t] = lvl
-                    nxt.append(t)
-        if nxt:
-            bucket_of(lvl + 1, []).extend(nxt)
-
-    return kind, via, [0] * n, plen
 
 
 def _converge_secure(
@@ -561,7 +450,14 @@ def _converge_secure(
 ) -> TableT:
     """The three Gao–Rexford phases with per-AS security filters.
 
-    Mirrors :func:`_converge` exactly, with two additions derived from a
+    The same three phases as :func:`_converge`, but heap-driven: a
+    rejected candidate must leave its slot open for a worse one, which
+    first-writer-wins levels cannot express.  Heap entries are
+    ``(key, export_path_rank, spec_index)`` with ``key = pathlen*n² +
+    via*n + target`` — ordered like the reference heap because index
+    order is ASN order; origin pushes carry their export path as the
+    rank (the reference's tie-break between two specs of one origin),
+    everything else ``_NO_RANK``.  Two additions derive from a
     :class:`~repro.secroute.policy.CompiledSecurity`:
 
     * **ROV drop sets** — per spec, the node indices refusing routes of
@@ -572,14 +468,12 @@ def _converge_secure(
       ``path[1:]`` tail check which skips the first hop).  A candidate
       popped at ``t`` via ``v`` has tail mask ``fmask[v]`` (or the
       spec's export-path tail mask ``omask[si]`` for direct origin
-      pushes, distinguished by the rank field exactly as in
-      :func:`_converge`), and commits ``fmask[t] = m | bit(v)``.
+      pushes, distinguished by the rank field), and commits
+      ``fmask[t] = m | bit(v)``.
 
     Rejected candidates are skipped without finalizing the slot, so a
     worse candidate can still fill it later — identical semantics to the
-    reference's pop-time ``security.rejects`` check.  There is no bare-int
-    single-spec fast path here: security runs are correctness-oriented
-    and always carry ``(key, rank, spec)`` tuples plus the mask arrays.
+    reference's pop-time ``security.rejects`` check.
     """
     n = ct.n
     n2 = n * n
@@ -821,17 +715,41 @@ def _converge_delta(
     pop_ = heappop
 
     kind0, via0, root0, plen0 = old_table
-    kind = bytearray(kind0)
-    via = list(via0)
-    plen = list(plen0)
     dirty_old_set = set(dirty_old)
     dirty_new_set = set(dirty_new)
 
+    # ---- Withdraw: root is constant along via chains, so the slots
+    # rooted in a dirty spec are exactly the old dependence subtree of
+    # its origin, restricted to dirty roots.  Walking that subtree over
+    # the children index costs O(cone edges) instead of an O(n) scan —
+    # and valley-free export narrows it further: only an origin or a
+    # customer-route holder has children beyond its customers, so the
+    # provider-route bulk of a cone never scans its peer meshes.  The
+    # walk reads only the old table, discovering the cone incrementally
+    # and bailing as soon as it is provably too large, before any array
+    # has been copied — an oversized cone costs the caller next to
+    # nothing on its way to the full run.
+    bail_at = n // _CONE_BAIL_DEN
+    nbrs = ct.children_index()
+    cleared: List[int] = []
+    for o in {old_specs[si][0] for si in dirty_old}:
+        stack = [o]
+        while stack:
+            v2 = stack.pop()
+            for t in nbrs[v2] if kind0[v2] >= _CUSTOMER else customers[v2]:
+                if via0[t] == v2 and root0[t] in dirty_old_set:
+                    cleared.append(t)
+                    stack.append(t)
+            if len(cleared) > bail_at:
+                return None
+
+    kind = bytearray(kind0)
+    via = list(via0)
+    plen = list(plen0)
     # Root remap: the common sweep case keeps every stable spec at its
     # old index (identity remap), so the new root array is a C-level copy
-    # of the old one — stale values on cleared slots are never read
-    # before being rewritten at settle time.  Only a genuinely reordered
-    # spec list pays the O(n) per-slot remap pass.
+    # of the old one.  Only a genuinely reordered spec list pays the O(n)
+    # per-slot remap pass.
     if all(o == m for o, m in remap.items()):
         root = list(root0)
     else:
@@ -841,49 +759,19 @@ def _converge_delta(
                 m = remap.get(root0[i])
                 if m is not None:
                     root[i] = m
-
     touched = bytearray(n)
-    cleared: List[int] = []
-    # A dirty cone covering a third of the graph can't be meaningfully
-    # cheaper than full re-convergence (and the odds that some candidate
-    # collides with a frozen tie — forcing a late _DeltaUnsupported
-    # fallback after real work — grow with the region).  The walks below
-    # discover the cone incrementally, so the bail trips as soon as the
-    # region is provably too large — cost sunk scales with the bail
-    # threshold, not with n.  Tests widen the denominator to force cone
-    # attempts on large regions.
-    bail_at = n // _CONE_BAIL_DEN
-    nbrs = ct.children_index()
-
-    # ---- Withdraw: root is constant along via chains, so the slots
-    # rooted in a dirty spec are exactly the old dependence subtree of
-    # its origin, restricted to dirty roots.  Walking that subtree over
-    # the children index costs O(cone edges) instead of an O(n) scan.
-    for o in {old_specs[si][0] for si in dirty_old}:
-        stack = [o]
-        while stack:
-            v2 = stack.pop()
-            for t in nbrs[v2]:
-                k = kind[t]
-                if (
-                    k and k != _ORIGIN
-                    and via0[t] == v2
-                    and root0[t] in dirty_old_set
-                ):
-                    kind[t] = 0
-                    via[t] = -1
-                    root[t] = -1
-                    plen[t] = 0
-                    touched[t] = 1
-                    cleared.append(t)
-                    stack.append(t)
-            if len(cleared) > bail_at:
-                return None
+    for t in cleared:
+        kind[t] = 0
+        via[t] = -1
+        root[t] = -1
+        plen[t] = 0
+        touched[t] = 1
 
     # ---- Origin status changes invalidate whole dependence subtrees:
     # an AS that gains or loses origin status changes every route whose
     # via chain passes through it, whatever the root.  Same walk, not
-    # restricted by root.
+    # restricted by root — its size is only discovered on the way, so
+    # the bail trips as soon as the region is provably too large.
     old_orig = {s[0] for s in old_specs}
     new_orig = {s[0] for s in new_specs}
     osc = old_orig ^ new_orig
@@ -1385,12 +1273,14 @@ class CompiledOutcome(RoutingOutcome):
     def origin_spec_index(self, asn: int) -> Optional[int]:
         """Which origin spec's export terminates ``asn``'s forwarding
         chain — the index into the announcement's ``origins`` tuple, or
-        None when unreached.  For a multi-site anycast announcement (one
-        spec per site) this *is* the catchment identity: the site whose
-        announcement front won ``asn``, answered from the root array
-        without materializing a route."""
+        None when unreached or when ``asn`` itself originates (several
+        specs may share one origin; its root slot holds -1, as unreached
+        slots do, whichever kernel built the table).  For a multi-site
+        anycast announcement (one spec per site) this *is* the catchment
+        identity: the site whose announcement front won ``asn``, answered
+        from the root array without materializing a route."""
         i = self._compiled.idx.get(asn)
-        if i is None or not self._kind[i]:
+        if i is None or self._kind[i] in (0, _ORIGIN):
             return None
         return self._root[i]
 

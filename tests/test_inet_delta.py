@@ -98,11 +98,12 @@ def assert_same_routes(reference, outcome):
 class _wide_cone:
     """Temporarily lift the cone-size bail so delta chains exercise the
     cone machinery even when a change's catchment is large relative to
-    these (small) test graphs."""
+    these (small) test graphs: with a denominator of 1 the bail sits at
+    n slots, which no cone can exceed."""
 
     def __enter__(self):
         self._saved = engine_mod._CONE_BAIL_DEN
-        engine_mod._CONE_BAIL_DEN = 1_000_000
+        engine_mod._CONE_BAIL_DEN = 1
         return self
 
     def __exit__(self, *exc):
@@ -110,11 +111,29 @@ class _wide_cone:
         return False
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_property_delta_chain_matches_reference(seed):
+def _chains_match_and_run_cones(check_chain, max_examples):
+    """Run ``check_chain(seed) -> engine`` over Hypothesis seeds; beyond
+    each chain's own route-for-route asserts, require that the lifted
+    bail let the examples run the cone machinery itself, not just
+    noop/shift steps and fallbacks to the full kernel."""
+    cone_runs = []
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def check(seed):
+        cone_runs.append(check_chain(seed).stats()["delta"]["cone"])
+
+    check()
+    assert sum(cone_runs) > 0
+
+
+def test_property_delta_chain_matches_reference():
     """Seeded random internet x random change sequence: every chained
     delta outcome is route-for-route identical to a fresh full run."""
+    _chains_match_and_run_cones(_check_delta_chain, 20)
+
+
+def _check_delta_chain(seed):
     rng = random.Random(seed)
     graph = build_internet(InternetConfig(n_ases=80, seed=seed)).graph
     engine = PropagationEngine(graph)
@@ -131,17 +150,19 @@ def test_property_delta_chain_matches_reference(seed):
     # The end state equals the reference sequence helper's end state.
     references = propagate_sequence(graph, announcements)
     assert_same_routes(references[-1], prev)
-    # The chain actually took incremental paths, not just fallbacks.
     modes = engine.stats()["delta"]
     assert sum(modes.values()) == len(announcements) - 1
+    return engine
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_property_delta_chain_matches_reference_secured(seed):
+def test_property_delta_chain_matches_reference_secured():
     """Same identity under active RPKI ROV and Peerlock policies: the
     security fingerprint keys table reuse, and mask reconstruction for
     surviving entries must reproduce the reference filters exactly."""
+    _chains_match_and_run_cones(_check_secured_delta_chain, 15)
+
+
+def _check_secured_delta_chain(seed):
     rng = random.Random(seed)
     graph = build_internet(InternetConfig(n_ases=70, seed=seed)).graph
     asns = sorted(graph.asns())
@@ -172,6 +193,7 @@ def test_property_delta_chain_matches_reference_secured(seed):
                 graph, announcement, security=policy.compile_for(announcement)
             )
             assert_same_routes(reference, prev)
+    return engine
 
 
 class TestDeltaRegimes:
@@ -244,6 +266,34 @@ class TestDeltaRegimes:
             if k
         ]
         assert selected == eager_sel
+
+    def test_root_convention_holds_across_a_shift_and_cone_chain(self, hierarchy):
+        """root is -1 at origins and unreached slots in every table a
+        chain produces — full, shift-shared, cone-copied, one spec or
+        several — so each equals a fresh full run slot for slot."""
+        engine = PropagationEngine(hierarchy)
+        chain = [
+            Announcement.single(7),
+            Announcement.single(7, prepend=2),
+            Announcement(origins=(OriginSpec(7, prepend=2), OriginSpec(8))),
+            Announcement(
+                origins=(OriginSpec(7, prepend=2), OriginSpec(8, poison=(4,)))
+            ),
+            Announcement(origins=(OriginSpec(7, prepend=2),)),
+        ]
+        prev = None
+        with _wide_cone():
+            for announcement in chain:
+                prev = engine.propagate_delta(prev, announcement, use_cache=False)
+                full = engine.propagate(announcement, use_cache=False)
+                assert prev._table() == full._table()
+                for asn in hierarchy.asns():
+                    if asn in announcement.origin_asns() or not prev.reaches(asn):
+                        assert prev.origin_spec_index(asn) is None
+                    else:
+                        assert prev.origin_spec_index(asn) is not None
+        modes = engine.stats()["delta"]
+        assert (modes["shift"], modes["cone"]) == (1, 3)
 
     def test_cone_engages_on_small_catchment(self, hierarchy):
         """Changing one spec of a multi-origin announcement while the

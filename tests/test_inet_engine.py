@@ -157,6 +157,82 @@ def test_property_engine_matches_reference(seed):
         assert reference.reachable_asns() == compiled.reachable_asns()
 
 
+def tie_rule_announcements(graph, rng):
+    """``{rule: announcement}`` — one multi-spec announcement per tie rule
+    of the level-synchronous kernel, so a failure names the rule."""
+    asns = sorted(graph.asns())
+    o, o2 = rng.sample([a for a in asns if len(graph.neighbors(a)) >= 2], 2)
+    nbrs = sorted(graph.neighbors(o))
+    half = tuple(nbrs[: len(nbrs) // 2])
+    rest = tuple(nbrs[len(nbrs) // 2:])
+    x, y = rng.sample([a for a in asns if a not in (o, o2)], 2)
+    cases = {
+        # one origin, seeds entering at three different levels
+        "staggered prepends": (
+            OriginSpec(o, prepend=2),
+            OriginSpec(o, prepend=1, announce_to=half),
+            OriginSpec(o, announce_to=rest),
+        ),
+        # equal export length, so (plen, via, target) collide: (o,x,o) vs
+        # (o,o,o) vs (o,y,o) break on content, the duplicate on spec index
+        "equal length": (
+            OriginSpec(o, poison=(x,)),
+            OriginSpec(o, prepend=2),
+            OriginSpec(o, poison=(y,)),
+            OriginSpec(o, prepend=2),
+        ),
+        # each spec poisons an AS the other is free to use
+        "per-spec poison, one origin": (
+            OriginSpec(o, poison=(nbrs[0],)),
+            OriginSpec(o, prepend=1, poison=(nbrs[-1],)),
+        ),
+        "per-spec poison, two origins": (
+            OriginSpec(o, poison=(rng.choice(sorted(graph.neighbors(o2))), x)),
+            OriginSpec(o2, prepend=1, poison=(rng.choice(nbrs),)),
+        ),
+        "overlapping announce_to": (
+            OriginSpec(o, prepend=1, announce_to=half + rest[:1]),
+            OriginSpec(o, announce_to=rest),
+            OriginSpec(o, poison=(x,), announce_to=tuple(nbrs)),
+        ),
+        "disjoint announce_to": (
+            OriginSpec(o, prepend=1, announce_to=half),
+            OriginSpec(o, poison=(y,), announce_to=rest),
+        ),
+    }
+    for k in (2, 3, 4):
+        cases[f"{k} origins"] = tuple(
+            OriginSpec(a, prepend=rng.randint(0, 2))
+            for a in rng.sample(asns, k)
+        )
+    return {
+        rule: Announcement(origins=specs) for rule, specs in cases.items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_multi_spec_tie_rules_match_reference(seed):
+    """The multi-spec kernel against the reference oracle on announcements
+    built to hit each tie rule, in process and through pool workers."""
+    rng = random.Random(seed)
+    graph = build_internet(
+        InternetConfig(n_ases=rng.choice([40, 70, 100]), seed=seed)
+    ).graph
+    engine = PropagationEngine(graph)
+    cases = tie_rule_announcements(graph, rng)
+    references = {
+        rule: dict(propagate(graph, ann).items()) for rule, ann in cases.items()
+    }
+    for rule, announcement in cases.items():
+        compiled = engine.propagate(announcement, use_cache=False)
+        assert dict(compiled.items()) == references[rule], rule
+    pooled = engine.propagate_many(
+        list(cases.values()), parallel=2, use_cache=False
+    )
+    for rule, outcome in zip(cases, pooled):
+        assert dict(outcome.items()) == references[rule], f"{rule} (pool)"
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_property_subprefix_lpm_matches_reference(seed):
@@ -384,3 +460,49 @@ class TestCompiledOutcomeSurface:
         reference, compiled = pair
         assert len(compiled) == len(reference)
         assert dict(compiled.items()) == dict(reference.items())
+
+    @pytest.mark.parametrize(
+        "origins",
+        [
+            (OriginSpec(5),),
+            (OriginSpec(5, announce_to=(3,)), OriginSpec(5, prepend=1)),
+            (OriginSpec(5), OriginSpec(6, prepend=1)),
+        ],
+        ids=["one spec", "two specs one origin", "two origins"],
+    )
+    def test_root_is_minus_one_at_origins_and_unreached(self, origins):
+        """One convention whatever the announcement's shape: the root
+        array names a spec only where a route was learned from it."""
+        graph = graph_from_edges(
+            c2p=[(3, 1), (4, 2), (5, 3), (6, 4), (7, 3)],
+            p2p=[(1, 2), (3, 4)],
+        )
+        graph.add_as(ASNode(asn=99))  # unreachable
+        outcome = PropagationEngine(graph).propagate(
+            Announcement(origins=origins)
+        )
+        index_of, kind, root, _plen = outcome.spec_table()
+        origin_asns = {spec.asn for spec in origins}
+        for asn, i in index_of.items():
+            if asn in origin_asns or asn == 99:
+                assert root[i] == -1
+                assert outcome.origin_spec_index(asn) is None
+            else:
+                assert kind[i] and 0 <= root[i] < len(origins)
+                assert outcome.origin_spec_index(asn) == root[i]
+                assert outcome.route(asn).path[-1] == origins[root[i]].asn
+
+    def test_duplicate_specs_break_on_spec_index(self):
+        """Two specs with one export path tie on everything but their
+        index: the first roots what climbs and descends (heap order), the
+        last what crosses the origin's peer edges (reference overwrite)."""
+        graph = graph_from_edges(
+            c2p=[(3, 1), (4, 2), (5, 3), (6, 4), (7, 3)],
+            p2p=[(1, 2), (3, 4)],
+        )
+        outcome = PropagationEngine(graph).propagate(
+            Announcement(origins=(OriginSpec(3), OriginSpec(3)))
+        )
+        assert {
+            asn: outcome.origin_spec_index(asn) for asn in (1, 2, 4, 5, 6, 7)
+        } == {1: 0, 2: 0, 5: 0, 7: 0, 4: 1, 6: 1}
