@@ -13,9 +13,9 @@ reusable and fragmentation is handled naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
-from ..net.addr import Prefix
+from ..net.addr import IPAddress, Prefix
 from ..net.trie import PrefixTrie
 
 __all__ = ["AllocationError", "Allocation", "PrefixPool"]
@@ -97,14 +97,11 @@ class PrefixPool:
             released.append(self.release(allocation.prefix))
         return released
 
-    def owner_of(self, prefix: Prefix) -> Optional[str]:
-        """Owner of the allocation covering ``prefix`` (exact or within)."""
-        trie = self._allocated[prefix.version]
-        hits = list(trie.covering(prefix))
-        if hits:
-            return hits[-1][1].owner
-        exact = trie.get(prefix)
-        return exact.owner if exact is not None else None
+    def owner_of(self, prefix: Union[Prefix, IPAddress]) -> Optional[str]:
+        """Owner of the allocation covering ``prefix`` (exact or within;
+        a bare address is its own host prefix)."""
+        hit = self._allocated[prefix.version].lookup(prefix)
+        return hit[1].owner if hit is not None else None
 
     def allocations_for(self, owner: str) -> List[Allocation]:
         return list(self._by_owner.get(owner, []))

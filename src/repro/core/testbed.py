@@ -588,7 +588,7 @@ class Testbed:
     def deliver_inbound(self, packet: Packet) -> bool:
         """Find the client owning the destination prefix and tunnel the
         packet to it through one of its attached servers."""
-        owner = self.pool.owner_of(Prefix(packet.dst, packet.dst.bits))
+        owner = self.pool.owner_of(packet.dst)
         if owner is None:
             return False
         for client_id in sorted(self.experiments[owner].clients):

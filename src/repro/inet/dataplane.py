@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["DeliveryStatus", "Delivery", "DataPlane"]
 
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -172,29 +172,32 @@ class DataPlane:
         prefix, outcome = match
 
         flowspec = self._flowspec
+        taps = self._taps
         current = ingress_asn
         path: List[int] = [current]
+        # ``packet`` stays the injected header (plus DSCP remarks) for the
+        # whole walk; the per-hop TTL decrement and trace live in ``path``
+        # until someone can look: a tap here, or the returned Delivery.
+        ttl = packet.ttl
         while True:
-            tap = self._taps.get(current)
+            tap = taps.get(current)
             if tap is not None:
-                tap(packet)
+                tap(_hopped(packet, path))
             if flowspec is not None:
                 decision = flowspec.decide(current, packet)
                 if decision is not None:
                     if decision.verdict is EnforcementVerdict.DROP:
-                        return Delivery(
-                            DeliveryStatus.FLOWSPEC_DROPPED, packet, tuple(path), current
-                        )
+                        status = DeliveryStatus.FLOWSPEC_DROPPED
+                        break
                     if decision.verdict is EnforcementVerdict.RATE_EXCEEDED:
-                        return Delivery(
-                            DeliveryStatus.RATE_LIMITED, packet, tuple(path), current
-                        )
+                        status = DeliveryStatus.RATE_LIMITED
+                        break
                     if decision.verdict is EnforcementVerdict.REDIRECT:
                         scrubber = decision.scrubber
                         assert scrubber is not None
                         return Delivery(
                             DeliveryStatus.SCRUBBED,
-                            packet,
+                            _hopped(packet, path),
                             tuple(path) + (scrubber,),
                             scrubber,
                         )
@@ -202,7 +205,8 @@ class DataPlane:
                     packet = packet.mark(decision.dscp)
             route = outcome.route(current)
             if route is None:
-                return Delivery(DeliveryStatus.BLACKHOLE, packet, tuple(path), current)
+                status = DeliveryStatus.BLACKHOLE
+                break
             if route.via is None:
                 # Reached an origin for this prefix.  Deliberately checked
                 # before TTL expiry: the TTL budgets *transit* hops, so
@@ -214,12 +218,13 @@ class DataPlane:
                     if owner is not None and current != owner
                     else DeliveryStatus.DELIVERED
                 )
-                return Delivery(status, packet, tuple(path), current)
-            if packet.expired:
-                return Delivery(DeliveryStatus.TTL_EXPIRED, packet, tuple(path), current)
-            packet = packet.hop(current)
+                break
+            if len(path) > ttl:  # every transit hop the TTL allowed is spent
+                status = DeliveryStatus.TTL_EXPIRED
+                break
             current = route.via
             path.append(current)
+        return Delivery(status, _hopped(packet, path), tuple(path), current)
 
     def traceroute(self, ingress_asn: int, dst: IPAddress, src: IPAddress) -> List[int]:
         """AS-level traceroute: the forward path a probe would reveal."""
@@ -244,3 +249,12 @@ class DataPlane:
             if terminal_route is not None and terminal_route.via is None:
                 result[asn] = terminal
         return result
+
+
+def _hopped(packet: Packet, path: List[int]) -> Packet:
+    """``packet`` as it looks on arrival at ``path[-1]``: one TTL
+    decrement and one trace entry per AS already left behind."""
+    hops = len(path) - 1
+    if not hops:
+        return packet
+    return replace(packet, ttl=packet.ttl - hops, trace=packet.trace + tuple(path[:-1]))

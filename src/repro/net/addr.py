@@ -259,12 +259,15 @@ class Prefix:
 
     def contains(self, other: Union["Prefix", IPAddress]) -> bool:
         """True if ``other`` (prefix or address) is within this prefix."""
-        if isinstance(other, IPAddress):
-            other = Prefix(other, other.bits)
-        if other.version != self.version or other._length < self._length:
+        mine = self._address
+        if isinstance(other, Prefix):
+            if other._length < self._length:
+                return False
+            other = other._address
+        if other._version != mine._version:
             return False
-        mask = _mask(self._length, self.bits)
-        return (other._address.value & mask) == self._address.value
+        host_bits = (_V4_BITS if mine._version == 4 else _V6_BITS) - self._length
+        return other._value >> host_bits == mine._value >> host_bits
 
     def __contains__(self, other: Union["Prefix", IPAddress]) -> bool:
         return self.contains(other)

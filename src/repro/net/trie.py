@@ -12,12 +12,15 @@ allocation out of a covering prefix.
 Descent is pure integer shift/mask arithmetic on the prefix's address
 value — one ``(value >> shift) & 1`` per level, no per-bit generator —
 which roughly halves insert/lookup cost at forwarding-table scale (see
-``benchmarks/bench_trie.py``).
+``benchmarks/bench_trie.py``).  A node holding a value remembers the
+:class:`Prefix` it was inserted under, so every query hands back that
+stored key instead of rebuilding a prefix from the descent — looking up
+an address allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Generic, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from .addr import IPAddress, Prefix
 
@@ -27,12 +30,13 @@ V = TypeVar("V")
 
 
 class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
+    __slots__ = ("children", "value", "key")
 
     def __init__(self) -> None:
         self.children: List[Optional["_Node[V]"]] = [None, None]
         self.value: Optional[V] = None
-        self.has_value = False
+        # The prefix this node was last inserted under; None = no value here.
+        self.key: Optional[Prefix] = None
 
 
 class PrefixTrie(Generic[V]):
@@ -56,7 +60,7 @@ class PrefixTrie(Generic[V]):
     def version(self) -> int:
         return self._version
 
-    def _check(self, prefix: Prefix) -> None:
+    def _check(self, prefix: Union[IPAddress, Prefix]) -> None:
         if prefix.version != self._version:
             raise ValueError(
                 f"IPv{prefix.version} prefix in IPv{self._version} trie"
@@ -75,10 +79,10 @@ class PrefixTrie(Generic[V]):
             if child is None:
                 child = node.children[bit] = _Node()
             node = child
-        if not node.has_value:
+        if node.key is None:
             self._size += 1
         node.value = value
-        node.has_value = True
+        node.key = prefix
 
     def __setitem__(self, prefix: Prefix, value: V) -> None:
         self.insert(prefix, value)
@@ -94,7 +98,7 @@ class PrefixTrie(Generic[V]):
             node = node.children[(addr >> shift) & 1]
             if node is None:
                 return default
-        return node.value if node.has_value else default
+        return node.value if node.key is not None else default
 
     def __getitem__(self, prefix: Prefix) -> V:
         sentinel = object()
@@ -122,14 +126,14 @@ class PrefixTrie(Generic[V]):
                 raise KeyError(prefix)
             path.append((node, bit))
             node = child
-        if not node.has_value:
+        if node.key is None:
             raise KeyError(prefix)
         value = node.value
         node.value = None
-        node.has_value = False
+        node.key = None
         self._size -= 1
         # Prune now-empty leaf chain.
-        while path and not node.has_value and node.children[0] is None and node.children[1] is None:
+        while path and node.key is None and node.children[0] is None and node.children[1] is None:
             parent, bit = path.pop()
             parent.children[bit] = None
             node = parent
@@ -150,36 +154,23 @@ class PrefixTrie(Generic[V]):
         Returns ``(matching_prefix, value)`` or ``None`` when nothing covers
         the target.
         """
-        if isinstance(target, IPAddress):
-            target = Prefix(target, target.bits)
         self._check(target)
-        bits = self._bits
+        if isinstance(target, Prefix):
+            addr, length = target.address.value, target.length
+        else:
+            addr, length = target.value, self._bits
         node = self._root
-        addr = target.address.value
-        # Track only the best depth/node during descent; materialize the
-        # winning Prefix once at the end instead of per candidate.
-        best_node: Optional[_Node[V]] = self._root if self._root.has_value else None
-        best_depth = 0
-        depth = 0
-        length = target.length
-        shift = bits
-        while depth < length:
-            shift -= 1
+        best = node if node.key is not None else None
+        top = self._bits - 1
+        for shift in range(top, top - length, -1):
             node = node.children[(addr >> shift) & 1]
             if node is None:
                 break
-            depth += 1
-            if node.has_value:
-                best_node = node
-                best_depth = depth
-        if best_node is None:
+            if node.key is not None:
+                best = node
+        if best is None:
             return None
-        if best_depth:
-            mask = ((1 << best_depth) - 1) << (bits - best_depth)
-            net = IPAddress(addr & mask, self._version)
-        else:
-            net = IPAddress(0, self._version)
-        return Prefix(net, best_depth), best_node.value  # type: ignore[return-value]
+        return best.key, best.value  # type: ignore[return-value]
 
     def covering(self, target: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Yield (prefix, value) for every stored prefix that covers ``target``.
@@ -190,15 +181,14 @@ class PrefixTrie(Generic[V]):
         bits = self._bits
         node = self._root
         addr = target.address.value
-        if node.has_value:
-            yield Prefix(IPAddress(0, self._version), 0), node.value  # type: ignore[misc]
+        if node.key is not None:
+            yield node.key, node.value  # type: ignore[misc]
         for depth in range(1, target.length + 1):
             node = node.children[(addr >> (bits - depth)) & 1]
             if node is None:
                 return
-            if node.has_value:
-                mask = ((1 << depth) - 1) << (bits - depth)
-                yield Prefix(IPAddress(addr & mask, self._version), depth), node.value  # type: ignore[misc]
+            if node.key is not None:
+                yield node.key, node.value  # type: ignore[misc]
 
     def covered(self, target: Prefix) -> Iterator[Tuple[Prefix, V]]:
         """Yield (prefix, value) for every stored prefix within ``target``.
@@ -214,20 +204,18 @@ class PrefixTrie(Generic[V]):
             node = node.children[(addr >> shift) & 1]
             if node is None:
                 return
-        yield from self._walk(node, addr, target.length)
+        yield from self._walk(node)
 
-    def _walk(self, node: _Node[V], address: int, depth: int) -> Iterator[Tuple[Prefix, V]]:
-        if node.has_value:
-            yield Prefix(IPAddress(address, self._version), depth), node.value  # type: ignore[misc]
-        for bit in (0, 1):
-            child = node.children[bit]
+    def _walk(self, node: _Node[V]) -> Iterator[Tuple[Prefix, V]]:
+        if node.key is not None:
+            yield node.key, node.value  # type: ignore[misc]
+        for child in node.children:
             if child is not None:
-                child_addr = address | (bit << (self._bits - depth - 1))
-                yield from self._walk(child, child_addr, depth + 1)
+                yield from self._walk(child)
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """All (prefix, value) pairs in address order."""
-        yield from self._walk(self._root, 0, 0)
+        yield from self._walk(self._root)
 
     def keys(self) -> Iterator[Prefix]:
         for prefix, _ in self.items():

@@ -8,12 +8,17 @@ rate limit (the paper notes PEERING only supports low traffic volumes).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Optional
 
 from .addr import IPAddress
 from .packet import Packet, PacketError
 
 __all__ = ["TunnelError", "TunnelEndpoint", "Tunnel"]
+
+# Outer headers a tunnel keeps for inspection: the most recent ones only,
+# so a long-running flow does not grow the heap by a frame per packet.
+_LOG_KEEP = 1024
 
 
 class TunnelError(Exception):
@@ -67,7 +72,7 @@ class Tunnel:
         self._window_count = 0
         left._tunnel = self
         right._tunnel = self
-        self.log: List[Packet] = []
+        self.log: Deque[Packet] = deque(maxlen=_LOG_KEEP)
 
     def other(self, endpoint: TunnelEndpoint) -> TunnelEndpoint:
         if endpoint is self.left:

@@ -188,12 +188,14 @@ class FlowSpecRule:
     def sort_key(self) -> Tuple[object, ...]:
         """RFC 5575 §5.1-spirit total order (lowest key = highest
         precedence): longest destination prefix first, ties broken by
-        address, then source-prefix specificity, protocol list, and port
-        ranges — so a more-constrained rule always precedes a
+        family then address (so rules sharing a destination prefix are
+        always adjacent), then source-prefix specificity, protocol list,
+        and port ranges — so a more-constrained rule always precedes a
         less-constrained one and any rule set has exactly one order."""
         src = self.src_prefix
         return (
             -self.dst_prefix.length,
+            self.dst_prefix.version,
             self.dst_prefix.address.value,
             0 if src is not None else 1,
             -(src.length if src is not None else 0),
@@ -225,7 +227,11 @@ class FlowSpecRule:
 
 
 def _port_in(port: Optional[int], ranges: PortRanges) -> bool:
-    return port is not None and any(lo <= port <= hi for lo, hi in ranges)
+    if port is not None:
+        for lo, hi in ranges:
+            if lo <= port <= hi:
+                return True
+    return False
 
 
 def _fmt_ports(ranges: PortRanges) -> str:
@@ -306,7 +312,11 @@ class FlowSpecDistributor:
             cooldown=quarantine_cooldown,
         )
         # asn -> rules, kept sorted by sort_key (most specific first).
+        # Written only through _set_rules.
         self._installed: Dict[int, List[FlowSpecRule]] = {}
+        # asn -> _compile(rules), built by decide() on first use and
+        # dropped by _set_rules whenever that AS's list changes.
+        self._compiled: Dict[int, List[_Run]] = {}
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._clock = 0.0  # logical event clock driving the breakers
         # (asn, rule) -> packets admitted this epoch, for traffic-rate.
@@ -436,10 +446,10 @@ class FlowSpecDistributor:
         self._breaker(originator).reset(self._clock)
 
     def _purge_originator(self, originator: int) -> None:
-        for asn in list(self._installed):
-            kept = [r for r in self._installed[asn] if r.originator != originator]
-            if len(kept) != len(self._installed[asn]):
-                self._installed[asn] = kept
+        for asn, rules in list(self._installed.items()):
+            kept = [r for r in rules if r.originator != originator]
+            if len(kept) != len(rules):
+                self._set_rules(asn, kept)
         self._drop_buckets(lambda rule: rule.originator == originator)
 
     # -- validation ------------------------------------------------------------
@@ -456,6 +466,13 @@ class FlowSpecDistributor:
 
     # -- rule lifecycle --------------------------------------------------------
 
+    def _set_rules(self, asn: int, rules: List[FlowSpecRule]) -> None:
+        """The one place an AS's rule list changes (announce, eviction,
+        withdraw, purge and revalidate all land here), hence the one
+        place its compiled classifier is invalidated."""
+        self._installed[asn] = rules
+        self._compiled.pop(asn, None)
+
     def announce(self, rule: FlowSpecRule) -> int:
         """Offer ``rule`` to every deploying AS.  Returns the number of
         ASes that installed it (0 if quarantined or rejected everywhere).
@@ -465,12 +482,13 @@ class FlowSpecDistributor:
             return 0
         installed = 0
         for asn in self.deployers:
-            rules = self._installed.setdefault(asn, [])
+            rules = self._installed.get(asn, ())
             if rule in rules:
                 continue
             if not self._valid_at(asn, rule):
                 self._count("rejected_validation")
                 continue
+            rules = list(rules)
             if len(rules) >= self.install_limit:
                 # At capacity the §5.1 order decides: the worst (least
                 # specific) of incumbents+candidate is the one refused.
@@ -482,6 +500,7 @@ class FlowSpecDistributor:
                 self._drop_buckets(lambda r, w=worst: r == w)
                 self._count("evicted")
             _insort(rules, rule)
+            self._set_rules(asn, rules)
             installed += 1
         self._count("installed", installed)
         return installed
@@ -495,15 +514,16 @@ class FlowSpecDistributor:
             self._count("rejected_quarantine")
             return 0
         removed = 0
-        for asn in list(self._installed):
+        for asn, rules in list(self._installed.items()):
             kept = [
                 r
-                for r in self._installed[asn]
+                for r in rules
                 if r.originator != originator
                 or (dst_prefix is not None and r.dst_prefix != dst_prefix)
             ]
-            removed += len(self._installed[asn]) - len(kept)
-            self._installed[asn] = kept
+            if len(kept) != len(rules):
+                removed += len(rules) - len(kept)
+                self._set_rules(asn, kept)
         self._drop_buckets(
             lambda rule: rule.originator == originator
             and (dst_prefix is None or rule.dst_prefix == dst_prefix)
@@ -516,14 +536,10 @@ class FlowSpecDistributor:
         route are evicted.  Call after any unicast route change
         (withdrawal, hijack, steering).  Returns evictions."""
         stale = 0
-        for asn in list(self._installed):
-            dead = {
-                r for r in self._installed[asn] if not self._valid_at(asn, r)
-            }
+        for asn, rules in list(self._installed.items()):
+            dead = {r for r in rules if not self._valid_at(asn, r)}
             if dead:
-                self._installed[asn] = [
-                    r for r in self._installed[asn] if r not in dead
-                ]
+                self._set_rules(asn, [r for r in rules if r not in dead])
                 self._drop_buckets(dead.__contains__)
                 stale += len(dead)
         self._count("rejected_stale", stale)
@@ -553,24 +569,44 @@ class FlowSpecDistributor:
         rules = self._installed.get(asn)
         if not rules:
             return None
-        for rule in rules:
-            if not rule.matches(packet):
+        runs = self._compiled.get(asn)
+        if runs is None:
+            runs = self._compiled[asn] = _compile(rules)
+        dst = packet.dst
+        version, value = dst.version, dst.value
+        for run_version, mask, net, entries in runs:
+            if value & mask != net or run_version != version:
                 continue
-            self._account(rule, packet)
-            action = rule.action
-            if action.kind is FlowSpecActionKind.RATE_LIMIT:
-                if action.rate == 0:
-                    return EnforcementDecision(EnforcementVerdict.DROP, rule)
-                key = (asn, rule)
-                used = self._buckets.get(key, 0)
-                if used >= action.rate:
-                    return EnforcementDecision(EnforcementVerdict.RATE_EXCEEDED, rule)
-                self._buckets[key] = used + 1
-                return None  # within budget: forward
-            if action.kind is FlowSpecActionKind.REDIRECT:
-                return EnforcementDecision(EnforcementVerdict.REDIRECT, rule)
-            return EnforcementDecision(EnforcementVerdict.MARK, rule)
+            for rule, src, protos, dports, sports in entries:
+                if src is not None and not src.contains(packet.src):
+                    continue
+                if protos and packet.proto not in protos:
+                    continue
+                if dports and not _port_in(packet.dst_port, dports):
+                    continue
+                if sports and not _port_in(packet.src_port, sports):
+                    continue
+                return self._enforce(asn, rule, packet)
         return None
+
+    def _enforce(
+        self, asn: int, rule: FlowSpecRule, packet: Packet
+    ) -> Optional[EnforcementDecision]:
+        """Apply the first-matching ``rule``'s action at ``asn``."""
+        self._account(rule, packet)
+        action = rule.action
+        if action.kind is FlowSpecActionKind.RATE_LIMIT:
+            if action.rate == 0:
+                return EnforcementDecision(EnforcementVerdict.DROP, rule)
+            key = (asn, rule)
+            used = self._buckets.get(key, 0)
+            if used >= action.rate:
+                return EnforcementDecision(EnforcementVerdict.RATE_EXCEEDED, rule)
+            self._buckets[key] = used + 1
+            return None  # within budget: forward
+        if action.kind is FlowSpecActionKind.REDIRECT:
+            return EnforcementDecision(EnforcementVerdict.REDIRECT, rule)
+        return EnforcementDecision(EnforcementVerdict.MARK, rule)
 
     # -- reporting -------------------------------------------------------------
 
@@ -637,6 +673,32 @@ class FlowSpecDistributor:
             for rule in rules:
                 lines.append(f"    {rule}")
         return "\n".join(lines)
+
+
+# (family, netmask, network, [(rule, src_prefix, protos, dst_ports, src_ports)])
+_Run = Tuple[
+    int, int, int,
+    List[Tuple[FlowSpecRule, Optional[Prefix], Tuple[str, ...], PortRanges, PortRanges]],
+]
+
+
+def _compile(rules: List[FlowSpecRule]) -> List[_Run]:
+    """Group a §5.1-sorted rule list into runs of adjacent rules sharing
+    a destination prefix (the order makes them adjacent), so ``decide``
+    tests each distinct destination once, as one integer mask compare,
+    and scans the other components only inside a matching run —
+    first-match order is the list's own."""
+    runs: List[_Run] = []
+    last: Optional[Prefix] = None
+    for rule in rules:
+        dst = rule.dst_prefix
+        if dst != last:
+            runs.append((dst.version, int(dst.netmask), dst.address.value, []))
+            last = dst
+        runs[-1][3].append(
+            (rule, rule.src_prefix, rule.protos, rule.dst_ports, rule.src_ports)
+        )
+    return runs
 
 
 def _insort(rules: List[FlowSpecRule], rule: FlowSpecRule) -> None:

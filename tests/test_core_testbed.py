@@ -1,5 +1,7 @@
 """Integration tests for the Testbed, servers, and clients."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -10,9 +12,16 @@ from repro.core import (
     SafetyVerdict,
     Testbed,
 )
+from repro.inet.dataplane import DataPlane, DeliveryStatus
 from repro.inet.gen import InternetConfig
 from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import Packet
+from repro.secroute.flowspec import (
+    FlowSpecAction,
+    FlowSpecDistributor,
+    FlowSpecRule,
+    resolver_from_outcomes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +213,80 @@ class TestDataPlane:
         )
         assert delivery.final_asn == fresh_testbed.asn
         assert len(client.received_packets) == 1
+
+    def test_per_packet_path_allocates_o1_objects(self, fresh_testbed, monkeypatch):
+        """The hot path builds no ``Prefix`` or ``IPAddress`` and at most
+        one ``Packet`` inside ``DataPlane.send`` (plus one per DSCP
+        remark) however many hops and rules a packet crosses — pinned as
+        a count, which repeats exactly where a timing would not."""
+        testbed = fresh_testbed
+        client = testbed.register_client("exp1", "alice")
+        client.attach("amsterdam01")
+        prefix = client.prefixes[0]
+        client.announce(prefix)
+        outcome = testbed.outcome_for(prefix)
+        chain = max(
+            (outcome.forwarding_chain(asn) for asn, _ in outcome.items()), key=len
+        )
+        assert len(chain) >= 4 and chain[-1] == testbed.asn  # >= 3 hops
+
+        dist = FlowSpecDistributor(chain, resolver_from_outcomes({prefix: outcome}))
+        mark = FlowSpecAction.mark(46)
+        for j in range(12):  # scanned and missed at every hop
+            port = ((8000 + j, 8000 + j),)
+            dist.announce(FlowSpecRule(prefix, testbed.asn, mark, protos=("tcp",), dst_ports=port))
+        dist.announce(FlowSpecRule(prefix, testbed.asn, mark, protos=("udp",)))
+        assert all(len(dist.rules_at(asn)) == 13 for asn in chain)
+        testbed.dataplane.attach_flowspec(dist)
+
+        def packet(proto):
+            return Packet(src=IPAddress("198.18.0.1"), dst=prefix.first_address() + 7,
+                          proto=proto, dst_port=443)
+
+        plain, marked = packet("tcp"), packet("udp")
+        testbed.send_from(chain[0], packet("tcp"))  # compiles classifiers, memoises routes
+
+        built = Counter()
+        in_send = []
+
+        def count(cls, method, label):
+            original = getattr(cls, method)
+
+            def counted(self, *args, **kwargs):
+                built[label] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+
+        count(Prefix, "__init__", "prefix")
+        count(IPAddress, "__init__", "address")
+        count(Packet, "__post_init__", "packet")
+        send = DataPlane.send
+
+        def measured_send(self, *args, **kwargs):
+            before = built["packet"]
+            try:
+                return send(self, *args, **kwargs)
+            finally:
+                in_send.append(built["packet"] - before)
+
+        monkeypatch.setattr(DataPlane, "send", measured_send)
+
+        received = len(client.received_packets)
+        first = testbed.send_from(chain[0], plain)
+        second = testbed.send_from(chain[0], marked)
+        monkeypatch.undo()
+        for delivery in (first, second):
+            assert delivery.status is DeliveryStatus.DELIVERED
+            assert delivery.path == tuple(chain)
+            assert delivery.packet.ttl == 64 - (len(chain) - 1)
+        assert (first.packet.dscp, second.packet.dscp) == (None, 46)
+        assert len(client.received_packets) == received + 2
+        assert built["prefix"] == 0 and built["address"] == 0
+        # One hopped packet for the Delivery; remarking costs one per hop.
+        assert in_send == [1, 1 + len(chain)]
+        # ...and the only other packet is the tunnel's outer header.
+        assert built["packet"] == sum(in_send) + 2
 
     def test_client_ping(self, fresh_testbed):
         client = fresh_testbed.register_client("exp1", "alice")

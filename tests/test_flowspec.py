@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.inet.dataplane import DataPlane, DeliveryStatus
-from repro.inet.routing import Announcement, propagate
+from repro.inet.routing import Announcement, ASRoute, RouteKind, propagate
 from repro.inet.topology import ASGraph, ASNode
 from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import Packet
@@ -335,6 +335,37 @@ class TestEnforcement:
         # dst outside the /25: only the broad mark matches.
         outside = pkt(dst=IPAddress("184.164.224.200"))
         assert plane.send(9, outside).status is DeliveryStatus.DELIVERED
+
+    def test_mixed_family_rules_stay_adjacent_per_family(self):
+        """0.0.0.0/0 and ::/0 tie on (length, address value): without the
+        family in the key the v6 rule sorted *between* the two v4 ones."""
+        v4, v6 = Prefix("0.0.0.0/0"), Prefix("::/0")
+        route = ASRoute(kind=RouteKind.CUSTOMER, path=(5,), via=5)
+        dist = FlowSpecDistributor(
+            deployers=(4,), resolver=lambda asn, prefix: (prefix, route)
+        )
+        v4_tcp = rule(dst=v4, protos=("tcp",), action=FlowSpecAction.mark(10))
+        v6_udp = rule(dst=v6, protos=("udp",), action=FlowSpecAction.redirect(1))
+        v4_any = rule(dst=v4)
+        for r in (v6_udp, v4_any, v4_tcp):
+            assert dist.announce(r) == 1
+        assert dist.rules_at(4) == (v4_tcp, v4_any, v6_udp)
+
+        def verdict(packet):
+            decision = dist.decide(4, packet)
+            return decision and (decision.verdict, decision.rule)
+
+        v6_host = IPAddress("2001:db8::1")
+        assert verdict(pkt(proto="tcp")) == (EnforcementVerdict.MARK, v4_tcp)
+        assert verdict(pkt(proto="udp")) == (EnforcementVerdict.DROP, v4_any)
+        assert verdict(pkt(dst=v6_host)) == (EnforcementVerdict.REDIRECT, v6_udp)
+        assert verdict(pkt(dst=v6_host, proto="tcp")) is None
+        # A v6 address whose low bits look like the v4 rule's network
+        # (and vice versa) must not cross families.
+        assert verdict(pkt(dst=IPAddress(0, 6), proto="tcp")) is None
+        assert dist.rule_counters() == {
+            v4_tcp: (1, 64), v4_any: (1, 64), v6_udp: (1, 64)
+        }
 
     def test_decide_direct(self):
         g = chain_world()

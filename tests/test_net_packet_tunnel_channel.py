@@ -140,6 +140,18 @@ class TestTunnel:
         assert len(tunnel.log) == 1
         assert tunnel.log[0].inner is not None
 
+    def test_log_is_bounded_to_the_most_recent_frames(self):
+        tunnel, left, right = self.make()
+        right.on_packet = lambda p: None
+        keep = tunnel.log.maxlen
+        sent = [packet() for _ in range(keep + 10)]
+        for p in sent:
+            left.send(p)
+        assert left.tx_packets == right.rx_packets == keep + 10
+        assert len(tunnel.log) == keep
+        assert tunnel.log[0].inner is sent[10]
+        assert tunnel.log[-1].inner is sent[-1]
+
 
 class TestChannel:
     def test_pair_connected(self):

@@ -1,5 +1,7 @@
 """Unit and property tests for the radix trie."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -161,3 +163,59 @@ def test_insert_remove_roundtrip(entries):
         del trie[p]
     assert len(trie) == 0
     assert list(trie.items()) == []
+
+
+@pytest.mark.parametrize("version", [4, 6])
+@pytest.mark.parametrize("seed", range(8))
+def test_lookup_returns_the_stored_key(version, seed):
+    """Across insert / replace / remove interleavings, looking an address
+    up gives the very ``Prefix`` object last inserted for the winning
+    entry — the same answer as the last of ``covering`` on its host
+    prefix — and ``remove`` forgets the key with the value."""
+    rng = random.Random(seed * 2 + version)
+    bits = 32 if version == 4 else 128
+    # A few networks nested inside each other, so lookups see real LPM.
+    base = rng.getrandbits(bits)
+    pool = [
+        (base ^ (rng.getrandbits(bits) >> rng.randrange(4, bits)), rng.randrange(bits + 1))
+        for _ in range(24)
+    ]
+
+    def fresh(i):
+        value, length = pool[i]
+        return Prefix(IPAddress(value, version), length, strict=False)
+
+    trie = PrefixTrie(version)
+    model = {}  # prefix -> (key object, value)
+    for step in range(300):
+        i = rng.randrange(len(pool))
+        key = fresh(i)  # equal to, never identical with, an earlier key
+        if key in model and rng.random() < 0.4:
+            assert trie.remove(key) == model.pop(key)[1]
+        else:
+            trie.insert(key, step)  # insert, or replace under a new key object
+            model[key] = (key, step)
+        assert len(trie) == len(model)
+
+        value, _ = pool[rng.randrange(len(pool))]
+        addr = IPAddress(value ^ rng.getrandbits(3), version)
+        covering = [p for p in model if p.contains(addr)]
+        hit = trie.lookup(addr)
+        chain = list(trie.covering(Prefix(addr, bits)))
+        if not covering:
+            assert hit is None and chain == []
+            continue
+        stored, expected = model[max(covering, key=lambda p: p.length)]
+        assert hit[0] is stored and hit[1] == expected
+        assert chain[-1][0] is stored and chain[-1][1] == expected
+        assert [p for p, _ in chain] == sorted(covering, key=lambda p: p.length)
+    assert all(k is model[k][0] for k in trie.keys())
+
+
+def test_lookup_address_of_other_family_raises():
+    v4 = PrefixTrie(4)
+    v4[Prefix("0.0.0.0/0")] = "default"
+    with pytest.raises(ValueError):
+        v4.lookup(IPAddress("2001:db8::1"))
+    with pytest.raises(ValueError):
+        PrefixTrie(6).lookup(IPAddress("10.0.0.1"))
