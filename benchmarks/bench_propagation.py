@@ -6,7 +6,7 @@ smoke step and gate on regressions:
     PYTHONPATH=src python benchmarks/bench_propagation.py \\
         --output BENCH_propagation.json --check
 
-Measures five regimes on a seeded internet:
+Measures six regimes on a seeded internet:
 
 * **single_shot** — one cold announcement, reference ``propagate()`` vs
   ``PropagationEngine.propagate(use_cache=False)``;
@@ -14,6 +14,9 @@ Measures five regimes on a seeded internet:
   announcement (one AS announcing through three disjoint neighbor sets
   at three prepend depths — PEERING's defining move, §3), the full
   convergence the single-spec line does not cover;
+* **secure** — a hijack under ROV 25 % + tier-1 Peerlock + 20 %
+  Peerlock-lite, reference vs engine: the same kernel with its accept
+  hook switched on;
 * **cached** — the same announcement served repeatedly from the LRU
   result cache;
 * **delta** — a single-announcement steering change (prepend bump)
@@ -26,24 +29,22 @@ Measures five regimes on a seeded internet:
 ``--scale`` switches to the Internet-scale harness: a CAIDA-calibrated
 50k-AS topology from ``build_caida_like`` (or an ingested serial
 snapshot via ``--topology``), timing graph build, compile + first
-convergence, single- and multi-spec full convergence, the delta
-regime, a **cone ladder** (poison changes whose catchments are ~0.5, 1,
-2, 5 and 10 % of the topology, either side of the size at which the
-engine stops reconverging incrementally), and a 100-point sweep serial vs
-parallel.  Results go to ``BENCH_propagation_scale.json`` and are gated
-against ``BENCH_propagation_scale_baseline.json``.
+convergence, single- and multi-spec full convergence, the secured
+hijack against the same announcement unsecured, the delta regime, and a
+100-point sweep serial vs parallel.  Results go to
+``BENCH_propagation_scale.json`` and are gated against
+``BENCH_propagation_scale_baseline.json``.
 
 ``--check`` compares measured speedups against the committed baseline
 and fails when one degrades by more than 2x — a ratio-of-ratios gate, so
 it tolerates slow CI machines but catches real regressions in the
 compiled kernel.  The delta gate additionally enforces the hard 10x
 floor for single-announcement incremental reconvergence; the scale run
-adds "the chooser is never wrong" for the cone ladder (at no rung is
-``propagate_delta`` more than 1.1x the time of ``propagate``, and it is
-faster wherever it actually ran the cone regime), a 2x floor for the
-parallel sweep over serial delta chaining (enforced only on machines
-with >= 4 CPUs — the fan-out cannot win on a 1-core box), and bounds
-the 50k sweep wall-clock relative to its baseline.
+adds a 4x ceiling on what the security hook may cost over the unsecured
+converge, a 2x floor for the parallel sweep over serial delta chaining
+(enforced only on machines with >= 4 CPUs — the fan-out cannot win on a
+1-core box), and bounds the 50k sweep wall-clock relative to its
+baseline.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ from repro.inet.gen import (
     load_caida_serial,
 )
 from repro.inet.routing import Announcement, OriginSpec, propagate
+from repro.net.addr import Prefix
+from repro.secroute import Roa, RoaRegistry, SecurityPolicy
 
 BASELINE = Path(__file__).with_name("BENCH_propagation_baseline.json")
 SCALE_BASELINE = Path(__file__).with_name(
@@ -75,12 +78,9 @@ SCALE_BASELINE = Path(__file__).with_name(
 # Hard floor for the delta regime: a single-announcement steering change
 # must reconverge at least this much faster than a full recompute.
 DELTA_FLOOR = 10.0
-# The cone gate at scale is "the chooser is never wrong": over a ladder
-# of catchment sizes straddling the engine's cone bail, propagate_delta
-# may cost at most this much of a full propagate (a bail's sunk cost),
-# and must beat it wherever the cone regime actually ran.
-CONE_LADDER = (0.005, 0.01, 0.02, 0.05, 0.10)
-CHOOSER_SLACK = 1.1
+# Hard ceiling at scale for the secured converge over the unsecured one:
+# the filters are a per-settle hook on the same kernel, not a second one.
+SECURE_CEILING = 4.0
 # Hard floor for the parallel sweep at scale: worker delta chains must
 # beat the serial delta chain by at least this much — only meaningful
 # with real cores to fan out over.
@@ -217,77 +217,22 @@ def delta_regime(engine, origin, repeat=5):
     }
 
 
-def cone_ladder(engine, graph, fracs=CONE_LADDER, repeat=21):
-    """Steering changes of graded catchment size: full vs incremental.
-
-    Each announcement anycasts from a stable tier-1 origin and a *dirty*
-    transit origin that prepends itself unattractive: the dirty origin's
-    customers still prefer its route (customer routes win regardless of
-    length), everyone else prefers the tier-1 — so the dirty catchment
-    tracks the transit AS's customer cone.  The measured change poisons
-    one AS inside that catchment: the whole catchment is withdrawn and
-    reseeded, so the work is proportional to it.  Below the engine's
-    bail size that runs as the cone regime, above it as a full run; the
-    rungs sit on both sides so the choice itself is what gets measured.
-
-    One converge per candidate measures the real catchment (cone size
-    only bounds it from below — peer-rich transits attract far more),
-    and each rung takes the candidate nearest its target fraction.
-    """
-    n = len(graph)
-    stable = min(graph.tier1_clique())
-    transit = sorted(
-        (
-            a for a in graph.asns()
-            if a != stable and graph.customers(a) and graph.providers(a)
-        ),
-        key=lambda a: (-len(graph.customers(a)), a),
+def secured_hijack(graph):
+    """A stub hijacking another stub's ROA-covered prefix while a quarter
+    of all ASes drop Invalids, the tier-1 clique runs Peerlock and a
+    fifth run Peerlock-lite: ``(announcement, compiled security)``."""
+    rng = random.Random(7)
+    asns = sorted(graph.asns())
+    victim, attacker = rng.sample(sorted(graph.stub_asns()), 2)
+    prefix = Prefix("198.18.0.0/20")
+    policy = SecurityPolicy(roas=RoaRegistry((Roa(prefix, victim),)))
+    policy.deploy_rov(rng.sample(asns, len(asns) // 4))
+    policy.lock_clique(sorted(graph.tier1_clique()))
+    policy.peerlock_lite = frozenset(rng.sample(asns, len(asns) // 5))
+    hijack = Announcement(
+        origins=(OriginSpec(asn=victim), OriginSpec(asn=attacker)), prefix=prefix
     )
-
-    def base_of(cand):
-        ann = Announcement(
-            origins=(OriginSpec(asn=stable), OriginSpec(asn=cand, prepend=3))
-        )
-        return engine.propagate(ann, use_cache=False)
-
-    catchment = {}
-    for cand in transit[:1200:8]:
-        _index_of, _kind, root, _plen = base_of(cand).spec_table()
-        catchment[cand] = root.count(1)  # slots routed toward the dirty spec
-
-    rungs = []
-    for frac in fracs:
-        if not catchment:
-            break
-        dirty = min(catchment, key=lambda c: (abs(catchment[c] - frac * n), c))
-        caught = catchment.pop(dirty)
-        inside = [a for a in graph.customer_cone(dirty) if a != dirty]
-        if not inside:
-            continue
-        base = base_of(dirty)
-        variant = Announcement(
-            origins=(
-                OriginSpec(asn=stable),
-                OriginSpec(asn=dirty, prepend=3, poison=(max(inside),)),
-            )
-        )
-        cones_before = engine.stats()["delta"]["cone"]
-        full_s, delta_s, speedup = timed_pair(
-            lambda: engine.propagate(variant, use_cache=False),
-            lambda: engine.propagate_delta(base, variant, use_cache=False),
-            repeat,
-        )
-        rungs.append({
-            "target_frac": frac,
-            "dirty_origin": dirty,
-            "catchment": caught,
-            "catchment_frac": round(caught / n, 4),
-            "cone_runs": engine.stats()["delta"]["cone"] - cones_before,
-            "full_s": round(full_s, 6),
-            "delta_s": round(delta_s, 6),
-            "speedup": round(speedup, 3),  # median of paired full / delta
-        })
-    return rungs
+    return hijack, policy.compile_for(hijack)
 
 
 def run_benchmarks(quick: bool, parallel: int):
@@ -307,6 +252,13 @@ def run_benchmarks(quick: bool, parallel: int):
     multi_ref = timed(lambda: propagate(graph, multi), repeat)
     multi_eng = timed(
         lambda: engine.propagate(multi, use_cache=False), repeat
+    )
+
+    hijack, security = secured_hijack(graph)
+    secure_ref = timed(lambda: propagate(graph, hijack, security), repeat)
+    secure_eng = timed(
+        lambda: engine.propagate(hijack, use_cache=False, security=security),
+        repeat,
     )
 
     engine.cache.clear()
@@ -358,6 +310,11 @@ def run_benchmarks(quick: bool, parallel: int):
             "engine_s": round(multi_eng, 6),
             "speedup": round(multi_ref / multi_eng, 3),
         },
+        "secure": {
+            "reference_s": round(secure_ref, 6),
+            "engine_s": round(secure_eng, 6),
+            "speedup": round(secure_ref / secure_eng, 3),
+        },
         "cached": {
             "per_hit_us": round(cached_100 / 100 * 1e6, 3),
             "speedup_vs_reference": round(single_ref / (cached_100 / 100), 1),
@@ -379,12 +336,12 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
 
     No reference-propagator comparison here — at 50k ASes the reference
     run would dominate the whole benchmark; the gates are the delta
-    speedup and the cone ladder's delta-vs-full ratios (machine-
+    speedup and the unsecured-vs-secured converge ratio (machine-
     independent), the parallel-vs-serial sweep ratio (on machines with
     enough cores), and the sweep wall-clock relative to the committed
-    baseline.  ``topology`` swaps
-    the generator for :func:`load_caida_serial` on a published (or
-    fixture) AS-relationship snapshot.
+    baseline.  ``topology`` swaps the generator for
+    :func:`load_caida_serial` on a published (or fixture)
+    AS-relationship snapshot.
     """
     build_start = time.perf_counter()
     if topology:
@@ -412,8 +369,14 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
         lambda: engine.propagate(multi, use_cache=False), 3
     )
 
+    hijack, security = secured_hijack(graph)
+    unsecured_s, secured_s, secure_ratio = timed_pair(
+        lambda: engine.propagate(hijack, use_cache=False),
+        lambda: engine.propagate(hijack, use_cache=False, security=security),
+        7,
+    )
+
     delta = delta_regime(engine, origin)
-    ladder = cone_ladder(engine, graph)
 
     sweep = steering_sweep(graph, origin, 100)
     serial_s = timed(lambda: engine.propagate_many(sweep, use_cache=False))
@@ -445,8 +408,13 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
             "multi_spec_full_s": round(multi_full_s, 6),
             "multi_spec_specs": len(multi.origins),
         },
+        "secure": {
+            "unsecured_s": round(unsecured_s, 6),
+            "secured_s": round(secured_s, 6),
+            # median of paired unsecured / secured
+            "unsecured_vs_secured": round(secure_ratio, 3),
+        },
         "delta": delta,
-        "cone_ladder": ladder,
         "sweep": {
             "total_s": round(serial_s, 3),
             "per_point_ms": round(serial_s / len(sweep) * 1e3, 3),
@@ -489,6 +457,12 @@ def check_regression(results, quick: bool = False) -> int:
         failures,
     )
     _gate(
+        "secure speedup",
+        results["secure"]["speedup"],
+        baseline["secure"]["speedup"] / div,
+        failures,
+    )
+    _gate(
         "sweep serial speedup",
         results["sweep"]["serial_speedup"],
         baseline["sweep"]["serial_speedup"] / div,
@@ -527,13 +501,12 @@ def check_scale_regression(results) -> int:
         max(DELTA_FLOOR, base_delta / 2),
         failures,
     )
-    # The chooser is never wrong: whichever regime propagate_delta picked
-    # at a rung, it may not cost more than a bail's worth over the full
-    # run, and where it picked the cone regime it must have won.
-    for rung in results["cone_ladder"]:
-        label = f"scale cone ladder {rung['catchment_frac']:.1%}"
-        floor = 1.0 if rung["cone_runs"] > 0 else 1 / CHOOSER_SLACK
-        _gate(f"{label}: full / delta", rung["speedup"], floor, failures)
+    _gate(
+        "scale unsecured / secured converge",
+        results["secure"]["unsecured_vs_secured"],
+        max(1 / SECURE_CEILING, baseline["secure"]["unsecured_vs_secured"] / 2),
+        failures,
+    )
     # The parallel fan-out can only beat the serial delta chain with
     # real cores behind it; a 1-core box timeshares the workers and
     # adds pure overhead, so the gate keys off the measuring machine.
@@ -618,8 +591,8 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="fail on >2x regression vs committed baseline "
-        "(single-shot, multi-spec, sweep, and delta gates; 10x delta "
-        "floor; with --scale the cone-ladder chooser gate)",
+        "(single-shot, multi-spec, secure, sweep, and delta gates; 10x "
+        "delta floor; with --scale the 4x secured-converge ceiling)",
     )
     args = parser.parse_args(argv)
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 from enum import IntEnum
 
 from ..net.addr import IPAddress, Prefix
@@ -64,7 +64,6 @@ __all__ = [
     "Announcement",
     "RoutingOutcome",
     "propagate",
-    "propagate_sequence",
     "resolve_lpm",
 ]
 
@@ -333,28 +332,6 @@ def propagate(
     selected.update(down_routes)
 
     return RoutingOutcome(graph, selected)
-
-
-def propagate_sequence(
-    graph: ASGraph,
-    announcements: Sequence[Announcement],
-    security: Optional["CompiledSecurity"] = None,
-) -> List[RoutingOutcome]:
-    """Fully re-converge each announcement in order (reference semantics).
-
-    This is the ground truth the incremental engine
-    (:meth:`repro.inet.engine.PropagationEngine.propagate_delta`) is
-    property-tested against: a steering sweep is a *sequence* of
-    announcements, and the incremental path must produce route-for-route
-    identical outcomes to running :func:`propagate` from scratch at every
-    step.  ``security`` may be a ``SecurityPolicy`` (re-compiled per
-    announcement, matching how the engine keys its cache) or an already
-    compiled filter applied as-is.
-    """
-    outcomes: List[RoutingOutcome] = []
-    for announcement in announcements:
-        outcomes.append(propagate(graph, announcement, security=security))
-    return outcomes
 
 
 def resolve_lpm(

@@ -192,8 +192,9 @@ class CompiledSecurity:
 
     The propagation paths consult exactly one predicate:
     :meth:`rejects`.  ``bits``/``pmask``/``t1mask`` expose the same
-    decisions as bitmask arithmetic for the compiled engine's
-    mask-propagating converge loop (see ``_converge_secure``).
+    decisions as bitmask arithmetic for the compiled engine, whose
+    ``_converge`` evaluates it as an accept hook wherever it settles a
+    slot, carrying each path's mask along the parent pointers.
     """
 
     verdicts: Mapping[int, ValidationState]

@@ -83,8 +83,8 @@ class LookingGlass:
 
     def propagation_savings(self) -> Dict[str, object]:
         """How much work incremental convergence saved: delta runs by
-        regime (noop/shift/cone vs fallback/full), the fraction answered
-        incrementally, the total AS slots reused from previous route
+        regime (noop/shift vs fallback/full), the fraction answered
+        without converging, the total AS slots reused from previous route
         tables instead of recomputed, and — for parallel sweeps — the
         worker-chain counts, per-regime splits inside the pool, and any
         pool degradations (fork→spawn, pool→serial)."""
@@ -95,9 +95,7 @@ class LookingGlass:
             if isinstance(delta_obj, dict) else {}
         )
         saved_obj = stats.get("delta_saved_slots", 0)
-        incremental = sum(
-            delta.get(mode, 0) for mode in ("noop", "shift", "cone")
-        )
+        incremental = delta.get("noop", 0) + delta.get("shift", 0)
         total = sum(delta.values())
         par_obj = stats.get("parallel")
         parallel: Dict[str, object] = {}
@@ -107,9 +105,7 @@ class LookingGlass:
                 {str(k): int(v) for k, v in par_delta_obj.items()}
                 if isinstance(par_delta_obj, dict) else {}
             )
-            par_incremental = sum(
-                par_delta.get(mode, 0) for mode in ("noop", "shift", "cone")
-            )
+            par_incremental = par_delta.get("noop", 0) + par_delta.get("shift", 0)
             par_total = sum(par_delta.values())
             fallbacks = par_obj.get("pool_fallbacks")
             parallel = {

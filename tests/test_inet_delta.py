@@ -6,25 +6,20 @@ The load-bearing guarantee is *route-for-route identity* between
 :func:`repro.inet.routing.propagate` across random announcement-change
 sequences — withdrawals, prepend/poison/announce-to changes, origin
 additions — with and without active :mod:`repro.secroute` policies.
-Regimes (noop / shift / cone / fallback) are exercised explicitly, and
+Regimes (noop / shift / fallback / full) are exercised explicitly, and
 the version-bucketed :class:`OutcomeCache` bookkeeping is checked at the
 structure level.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.inet.engine as engine_mod
 from repro.inet.engine import OutcomeCache, PropagationEngine
 from repro.inet.gen import InternetConfig, build_internet
-from repro.inet.routing import (
-    Announcement,
-    OriginSpec,
-    propagate,
-    propagate_sequence,
-)
+from repro.inet.routing import Announcement, OriginSpec, propagate
 from repro.inet.topology import ASGraph, ASNode
 from repro.net.addr import Prefix
 from repro.secroute import Roa, RoaRegistry, RovMode, SecurityPolicy
@@ -57,20 +52,12 @@ def mutate_announcement(announcement, graph, rng):
     if op == "prepend" and origins:
         i = rng.randrange(len(origins))
         s = origins[i]
-        origins[i] = OriginSpec(
-            asn=s.asn,
-            prepend=rng.randint(0, 4),
-            poison=s.poison,
-            announce_to=s.announce_to,
-        )
+        origins[i] = replace(s, prepend=rng.randint(0, 4))
     elif op == "poison" and origins:
         i = rng.randrange(len(origins))
         s = origins[i]
-        origins[i] = OriginSpec(
-            asn=s.asn,
-            prepend=s.prepend,
-            poison=tuple(rng.sample(asns, rng.randint(0, 2))),
-            announce_to=s.announce_to,
+        origins[i] = replace(
+            s, poison=tuple(rng.sample(asns, rng.randint(0, 2)))
         )
     elif op == "announce_to" and origins:
         i = rng.randrange(len(origins))
@@ -81,9 +68,7 @@ def mutate_announcement(announcement, graph, rng):
             announce_to = tuple(
                 rng.sample(neighbors, rng.randint(0, min(4, len(neighbors))))
             )
-        origins[i] = OriginSpec(
-            asn=s.asn, prepend=s.prepend, poison=s.poison, announce_to=announce_to
-        )
+        origins[i] = replace(s, announce_to=announce_to)
     elif op == "add" and len(origins) < 4:
         origins.append(OriginSpec(asn=rng.choice(asns)))
     elif op == "drop" and len(origins) > 1:
@@ -95,74 +80,34 @@ def assert_same_routes(reference, outcome):
     assert dict(reference.items()) == dict(outcome.items())
 
 
-class _wide_cone:
-    """Temporarily lift the cone-size bail so delta chains exercise the
-    cone machinery even when a change's catchment is large relative to
-    these (small) test graphs: with a denominator of 1 the bail sits at
-    n slots, which no cone can exceed."""
-
-    def __enter__(self):
-        self._saved = engine_mod._CONE_BAIL_DEN
-        engine_mod._CONE_BAIL_DEN = 1
-        return self
-
-    def __exit__(self, *exc):
-        engine_mod._CONE_BAIL_DEN = self._saved
-        return False
-
-
-def _chains_match_and_run_cones(check_chain, max_examples):
-    """Run ``check_chain(seed) -> engine`` over Hypothesis seeds; beyond
-    each chain's own route-for-route asserts, require that the lifted
-    bail let the examples run the cone machinery itself, not just
-    noop/shift steps and fallbacks to the full kernel."""
-    cone_runs = []
-
-    @settings(max_examples=max_examples, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def check(seed):
-        cone_runs.append(check_chain(seed).stats()["delta"]["cone"])
-
-    check()
-    assert sum(cone_runs) > 0
-
-
-def test_property_delta_chain_matches_reference():
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_delta_chain_matches_reference(seed):
     """Seeded random internet x random change sequence: every chained
     delta outcome is route-for-route identical to a fresh full run."""
-    _chains_match_and_run_cones(_check_delta_chain, 20)
-
-
-def _check_delta_chain(seed):
     rng = random.Random(seed)
     graph = build_internet(InternetConfig(n_ases=80, seed=seed)).graph
     engine = PropagationEngine(graph)
     announcement = Announcement.single(rng.choice(sorted(graph.asns())))
-    announcements = [announcement]
-    with _wide_cone():
-        prev = engine.propagate(announcement, use_cache=False)
+    prev = engine.propagate(announcement, use_cache=False)
+    assert_same_routes(propagate(graph, announcement), prev)
+    for _ in range(6):
+        announcement = mutate_announcement(announcement, graph, rng)
+        prev = engine.propagate_delta(prev, announcement, use_cache=False)
         assert_same_routes(propagate(graph, announcement), prev)
-        for _ in range(6):
-            announcement = mutate_announcement(announcement, graph, rng)
-            announcements.append(announcement)
-            prev = engine.propagate_delta(prev, announcement, use_cache=False)
-            assert_same_routes(propagate(graph, announcement), prev)
-    # The end state equals the reference sequence helper's end state.
-    references = propagate_sequence(graph, announcements)
-    assert_same_routes(references[-1], prev)
     modes = engine.stats()["delta"]
-    assert sum(modes.values()) == len(announcements) - 1
-    return engine
+    assert sum(modes.values()) == 6
+    assert modes["cone"] == modes["full"] == 0
 
 
-def test_property_delta_chain_matches_reference_secured():
-    """Same identity under active RPKI ROV and Peerlock policies: the
-    security fingerprint keys table reuse, and mask reconstruction for
-    surviving entries must reproduce the reference filters exactly."""
-    _chains_match_and_run_cones(_check_secured_delta_chain, 15)
-
-
-def _check_secured_delta_chain(seed):
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_delta_chain_matches_reference_secured(seed):
+    """Same identity under active RPKI ROV, Peerlock and Peerlock-lite:
+    the security fingerprint keys table reuse, and every input of the
+    kernel's accept hook is drawn — a drop set, a locker mask, a lite
+    mask on customer routes only, a leaked path whose tail already
+    carries locked ASNs, and two specs of one origin."""
     rng = random.Random(seed)
     graph = build_internet(InternetConfig(n_ases=70, seed=seed)).graph
     asns = sorted(graph.asns())
@@ -175,25 +120,39 @@ def _check_secured_delta_chain(seed):
     clique = sorted(graph.tier1_clique())
     if clique and rng.random() < 0.7:
         policy.lock_clique(rng.sample(clique, rng.randint(1, len(clique))))
+    transit = sorted(set(asns) - set(graph.stub_asns()))
+    for locker in rng.sample(asns, rng.randint(0, 6)):
+        policy.lock(locker, rng.sample(transit, rng.randint(1, min(4, len(transit)))))
+    policy.peerlock_lite = frozenset(rng.sample(asns, rng.randint(0, len(asns) // 3)))
+    policy.tier1 = policy.tier1 | frozenset(clique)
     attacker = rng.choice([a for a in asns if a != victim])
+    # A route leak: someone re-originates the route it learned toward the
+    # victim or the hijacker, so the export path's tail names upstreams.
+    learned = propagate(graph, Announcement.single(rng.choice([victim, attacker])))
+    leaker, leaked = rng.choice(sorted(
+        (asn, route.path) for asn, route in learned.items() if len(route.path) > 1
+    ))
+    neighbors = sorted(graph.neighbors(victim))
     announcement = Announcement(
-        origins=(OriginSpec(asn=victim), OriginSpec(asn=attacker)), prefix=V20
+        origins=(
+            OriginSpec(asn=victim, announce_to=tuple(neighbors[::2])),
+            OriginSpec(asn=victim, prepend=1, announce_to=tuple(neighbors[1::2])),
+            OriginSpec(asn=attacker),
+            OriginSpec(asn=leaker, path_suffix=leaked),
+        ),
+        prefix=V20,
     )
     engine = PropagationEngine(graph)
-    with _wide_cone():
-        prev = engine.propagate(
-            announcement, use_cache=False, security=policy.compile_for(announcement)
+    prev = None
+    for _ in range(6):
+        prev = engine.propagate_delta(
+            prev, announcement, use_cache=False, security=policy
         )
-        for _ in range(5):
-            announcement = mutate_announcement(announcement, graph, rng)
-            prev = engine.propagate_delta(
-                prev, announcement, use_cache=False, security=policy
-            )
-            reference = propagate(
-                graph, announcement, security=policy.compile_for(announcement)
-            )
-            assert_same_routes(reference, prev)
-    return engine
+        reference = propagate(
+            graph, announcement, security=policy.compile_for(announcement)
+        )
+        assert_same_routes(reference, prev)
+        announcement = mutate_announcement(announcement, graph, rng)
 
 
 class TestDeltaRegimes:
@@ -231,46 +190,32 @@ class TestDeltaRegimes:
         )
 
     def test_shift_materializes_plen_for_later_delta(self, hierarchy):
-        """Chaining past a shift outcome must see real plen values: the
-        pending shift materializes (without mutating the shared array)
-        and the chained outcome still matches a fresh full run."""
+        """Shifts compose while pending, and reading plen values
+        materializes the sum exactly once without mutating the array the
+        chain shares — so every table equals a fresh full run's."""
         engine = PropagationEngine(hierarchy)
         base = engine.propagate(Announcement.single(7), use_cache=False)
         shifted = engine.propagate_delta(
             base, Announcement.single(7, prepend=3), use_cache=False
         )
-        follow = Announcement(
-            origins=(OriginSpec(asn=7, prepend=3), OriginSpec(asn=8))
+        again = engine.propagate_delta(
+            shifted, Announcement.single(7, prepend=1), use_cache=False
         )
-        with _wide_cone():
-            chained = engine.propagate_delta(shifted, follow, use_cache=False)
-        assert shifted._plen_shift == 0  # materialized exactly once
+        assert (shifted._plen_shift, again._plen_shift) == (3, 1)
+        for outcome, prepend in ((again, 1), (shifted, 3), (base, 0)):
+            eager = engine.propagate(
+                Announcement.single(7, prepend=prepend), use_cache=False
+            )
+            assert outcome._table() == eager._table()
+            assert outcome._plen_shift == 0  # materialized exactly once
         assert shifted._plen is not base._plen
-        assert base._plen_shift == 0  # the original was never touched
-        full = propagate(hierarchy, follow)
-        assert_same_routes(full, chained)
-        eager = engine.propagate(follow, use_cache=False)
-        selected = [
-            (k, v, r, p)
-            for k, v, r, p in zip(
-                chained._kind, chained._via, chained._root,
-                chained._table()[3],
-            )
-            if k
-        ]
-        eager_sel = [
-            (k, v, r, p)
-            for k, v, r, p in zip(
-                eager._kind, eager._via, eager._root, eager._table()[3]
-            )
-            if k
-        ]
-        assert selected == eager_sel
+        assert again._plen is not base._plen  # the original was never touched
 
     def test_root_convention_holds_across_a_shift_and_cone_chain(self, hierarchy):
         """root is -1 at origins and unreached slots in every table a
-        chain produces — full, shift-shared, cone-copied, one spec or
-        several — so each equals a fresh full run slot for slot."""
+        chain produces — full, shift-shared, reconverged after a content
+        change, one spec or several — so each equals a fresh full run
+        slot for slot."""
         engine = PropagationEngine(hierarchy)
         chain = [
             Announcement.single(7),
@@ -282,68 +227,58 @@ class TestDeltaRegimes:
             Announcement(origins=(OriginSpec(7, prepend=2),)),
         ]
         prev = None
-        with _wide_cone():
-            for announcement in chain:
-                prev = engine.propagate_delta(prev, announcement, use_cache=False)
-                full = engine.propagate(announcement, use_cache=False)
-                assert prev._table() == full._table()
-                for asn in hierarchy.asns():
-                    if asn in announcement.origin_asns() or not prev.reaches(asn):
-                        assert prev.origin_spec_index(asn) is None
-                    else:
-                        assert prev.origin_spec_index(asn) is not None
+        for announcement in chain:
+            prev = engine.propagate_delta(prev, announcement, use_cache=False)
+            full = engine.propagate(announcement, use_cache=False)
+            assert prev._table() == full._table()
+            for asn in hierarchy.asns():
+                if asn in announcement.origin_asns() or not prev.reaches(asn):
+                    assert prev.origin_spec_index(asn) is None
+                else:
+                    assert prev.origin_spec_index(asn) is not None
         modes = engine.stats()["delta"]
-        assert (modes["shift"], modes["cone"]) == (1, 3)
+        assert (modes["full"], modes["shift"], modes["fallback"]) == (1, 1, 3)
 
-    def test_cone_engages_on_small_catchment(self, hierarchy):
+    def test_multi_spec_content_change_falls_back(self, hierarchy):
         """Changing one spec of a multi-origin announcement while the
-        other survives goes through the cone path (withdraw + boundary
-        re-seed), not a full run."""
+        other survives — however small or large the changed catchment —
+        is a reusable base with a content change: one full convergence,
+        counted as ``fallback``, routes identical to the reference."""
         engine = PropagationEngine(hierarchy)
         base_ann = Announcement(
             origins=(OriginSpec(asn=7), OriginSpec(asn=8, prepend=1))
         )
-        base = engine.propagate(base_ann, use_cache=False)
-        new_ann = Announcement(
-            origins=(OriginSpec(asn=7), OriginSpec(asn=8, prepend=1, poison=(4,)))
-        )
-        with _wide_cone():
-            out = engine.propagate_delta(base, new_ann, use_cache=False)
-        assert engine.stats()["delta"]["cone"] == 1
-        assert_same_routes(propagate(hierarchy, new_ann), out)
+        prev = engine.propagate(base_ann, use_cache=False)
+        for origins in (
+            (OriginSpec(asn=7), OriginSpec(asn=8, prepend=1, poison=(4,))),
+            (OriginSpec(asn=1), OriginSpec(asn=8, prepend=1, poison=(4,))),
+        ):
+            new_ann = Announcement(origins=origins)
+            prev = engine.propagate_delta(prev, new_ann, use_cache=False)
+            assert_same_routes(propagate(hierarchy, new_ann), prev)
+        modes = engine.stats()["delta"]
+        assert (modes["fallback"], modes["cone"]) == (2, 0)
 
     def test_withdrawal_via_delta(self, hierarchy):
-        """Dropping an origin (withdrawal) through the delta path clears
-        exactly its cone."""
+        """Dropping an origin (withdrawal) through the delta path leaves
+        exactly the surviving origin's routes."""
         engine = PropagationEngine(hierarchy)
         both = Announcement(origins=(OriginSpec(asn=7), OriginSpec(asn=8)))
         base = engine.propagate(both, use_cache=False)
         only7 = Announcement(origins=(OriginSpec(asn=7),))
-        with _wide_cone():
-            out = engine.propagate_delta(base, only7, use_cache=False)
+        out = engine.propagate_delta(base, only7, use_cache=False)
         assert_same_routes(propagate(hierarchy, only7), out)
 
     def test_single_spec_content_change_falls_back(self, hierarchy):
-        """A poison change on a single-origin announcement leaves no
-        stable spec — the engine must fall back to a full run and still
-        be correct."""
+        """A poison change on a single-origin announcement is not a
+        shift — the engine must fall back to a full run and still be
+        correct."""
         engine = PropagationEngine(hierarchy)
         base = engine.propagate(Announcement.single(7), use_cache=False)
         new_ann = Announcement.single(7, poison=(4,))
         out = engine.propagate_delta(base, new_ann, use_cache=False)
         assert engine.stats()["delta"]["fallback"] == 1
         assert_same_routes(propagate(hierarchy, new_ann), out)
-
-    def test_cone_bails_to_full_when_region_is_large(self, hierarchy):
-        """At the default threshold a dirty cone spanning most of this
-        8-AS graph is not attempted incrementally."""
-        engine = PropagationEngine(hierarchy)
-        both = Announcement(origins=(OriginSpec(asn=1), OriginSpec(asn=3)))
-        base = engine.propagate(both, use_cache=False)
-        moved = Announcement(origins=(OriginSpec(asn=1), OriginSpec(asn=2)))
-        out = engine.propagate_delta(base, moved, use_cache=False)
-        assert engine.stats()["delta"]["fallback"] == 1
-        assert_same_routes(propagate(hierarchy, moved), out)
 
     def test_stale_prev_outcome_degrades_to_full(self, hierarchy):
         engine = PropagationEngine(hierarchy)
@@ -388,6 +323,24 @@ class TestDeltaRegimes:
         )
         assert_same_routes(reference, secured)
 
+    def test_secured_prepend_that_moves_the_tail_mask_is_not_a_shift(self, hierarchy):
+        """Prepending a Peerlock-protected origin puts its ASN behind the
+        first hop, where its clique partner refuses it: the route table
+        changes shape, so the change must reconverge, not shift."""
+        engine = PropagationEngine(hierarchy)
+        policy = SecurityPolicy().lock_clique([1, 2])
+        base = engine.propagate(Announcement.single(1), use_cache=False, security=policy)
+        prepended = Announcement.single(1, prepend=1)
+        out = engine.propagate_delta(base, prepended, use_cache=False, security=policy)
+        assert engine.stats()["delta"] == {
+            "noop": 0, "shift": 0, "cone": 0, "fallback": 1, "full": 0
+        }
+        reference = propagate(
+            hierarchy, prepended, security=policy.compile_for(prepended)
+        )
+        assert_same_routes(reference, out)
+        assert base.reaches(2) and not out.reaches(2)
+
     def test_delta_results_enter_the_shared_cache(self, hierarchy):
         """propagate_delta uses propagate's exact cache key, so a delta
         result satisfies a later full-propagate lookup."""
@@ -408,6 +361,15 @@ class TestDeltaRegimes:
         assert modes["shift"] == 5
         for announcement, outcome in zip(sweep, outcomes):
             assert_same_routes(propagate(hierarchy, announcement), outcome)
+
+    def test_stats_keep_all_five_regime_keys(self, hierarchy):
+        # benchmarks/e2e/harness.py::engine_counters indexes
+        # stats()["delta"]["cone"] for BENCHMARK.json's
+        # inet.engine.converge.delta_cone, so the key outlives the regime
+        # (reading 0) until a [benchmark] PR drops that metric.
+        stats = PropagationEngine(hierarchy).stats()
+        keys = {"noop", "shift", "cone", "fallback", "full"}
+        assert set(stats["delta"]) == set(stats["parallel"]["delta"]) == keys
 
     def test_delta_saved_slots_reported(self, hierarchy):
         engine = PropagationEngine(hierarchy)

@@ -6,19 +6,13 @@ counted, not silent.
 """
 
 import multiprocessing
-import pickle
 import random
 import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.inet.engine as engine_mod
-from repro.inet.engine import (
-    CompiledTopology,
-    PropagationEngine,
-    _partition_chains,
-)
+from repro.inet.engine import PropagationEngine, _partition_chains
 from repro.inet.gen import InternetConfig, build_internet
 from repro.inet.routing import Announcement, OriginSpec, propagate
 from repro.net.addr import Prefix
@@ -59,25 +53,6 @@ class TestPartitionChains:
     def test_deterministic(self):
         keys = [("k", i % 3) for i in range(20)]
         assert _partition_chains(keys, 3) == _partition_chains(keys, 3)
-
-
-class TestChildrenIndex:
-    def test_cached_and_merged(self):
-        graph = build_internet(InternetConfig(n_ases=40, seed=3)).graph
-        ct = CompiledTopology(graph)
-        nbrs = ct.children_index()
-        assert nbrs is ct.children_index()  # built once, reused
-        for t in range(ct.n):
-            assert sorted(nbrs[t]) == sorted(
-                list(ct.providers[t]) + list(ct.peers[t]) + list(ct.customers[t])
-            )
-
-    def test_survives_pickle_by_rebuilding(self):
-        graph = build_internet(InternetConfig(n_ases=30, seed=3)).graph
-        ct = CompiledTopology(graph)
-        ct.children_index()
-        clone = pickle.loads(pickle.dumps(ct))
-        assert clone.children_index() == ct.children_index()
 
 
 @settings(max_examples=6, deadline=None)

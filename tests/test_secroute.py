@@ -279,29 +279,53 @@ def random_policy(graph, rng):
     clique = sorted(graph.tier1_clique())
     if clique and rng.random() < 0.7:
         policy.lock_clique(rng.sample(clique, rng.randint(1, len(clique))))
+    # Valley-free paths never put a tier-1 behind the first hop, so only
+    # leaks trip the clique's locks; lockers protecting ordinary transit
+    # ASes are what exercises mask accumulation hop by hop.
+    transit = sorted(set(asns) - set(graph.stub_asns()))
+    for locker in rng.sample(asns, rng.randint(0, 6)):
+        policy.lock(locker, rng.sample(transit, rng.randint(1, min(4, len(transit)))))
     if rng.random() < 0.5:
         policy.peerlock_lite = frozenset(
             rng.sample(asns, rng.randint(0, len(asns) // 3))
         )
+        policy.tier1 = policy.tier1 | frozenset(clique)  # lite has teeth unlocked too
     return policy, victim
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_property_engines_agree_under_security(seed):
-    """Seeded random internet x random security policy x hijack mix:
-    route-for-route identical outcomes on both propagation paths."""
+    """Seeded random internet x random security policy x hijack / leak
+    / multi-mux mix: route-for-route identical outcomes on both
+    propagation paths.  The leak's export path carries its upstreams
+    behind the first hop, so origin offers start with a non-empty
+    Peerlock tail mask; the split victim is two specs of one origin."""
     rng = random.Random(seed)
     graph = build_internet(InternetConfig(n_ases=70, seed=seed)).graph
     engine = PropagationEngine(graph)
     policy, victim = random_policy(graph, rng)
     attacker = rng.choice(sorted(set(graph.asns()) - {victim}))
+    # The leaked route is the victim's or the hijacker's: ROV keys on the
+    # path's last ASN, not on who re-originated it.
+    learned = propagate(graph, Announcement.single(rng.choice([victim, attacker])))
+    leaker, leaked = rng.choice(sorted(
+        (asn, route.path) for asn, route in learned.items() if len(route.path) > 1
+    ))
+    leak = OriginSpec(asn=leaker, path_suffix=leaked)
+    neighbors = sorted(graph.neighbors(victim))
+    split = (
+        OriginSpec(asn=victim, announce_to=tuple(neighbors[::2])),
+        OriginSpec(asn=victim, prepend=1, announce_to=tuple(neighbors[1::2])),
+    )
     announcements = [
         Announcement.single(victim, prefix=V20),
         Announcement(
             origins=(OriginSpec(asn=victim), OriginSpec(asn=attacker)), prefix=V20
         ),
         Announcement.single(attacker, prefix=V24),
+        Announcement(origins=(OriginSpec(asn=victim), leak), prefix=V20),
+        Announcement(origins=split + (OriginSpec(asn=attacker), leak), prefix=V20),
     ]
     for announcement in announcements:
         reference = secure_propagate(graph, announcement, policy)
