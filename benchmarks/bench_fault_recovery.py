@@ -4,7 +4,7 @@ Standalone script (no pytest-benchmark dependency) so CI can run it as a
 smoke step and gate on regressions:
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py \\
-        --quick --output BENCH_fault_recovery.json --check
+        --output BENCH_fault_recovery.json --check
 
 Measures three recovery paths on a seeded testbed:
 
@@ -21,8 +21,10 @@ Measures three recovery paths on a seeded testbed:
 ``--check`` compares the *simulated* latencies against the committed
 baseline (``BENCH_fault_recovery_baseline.json``).  Simulated time is
 machine-independent — the event engine is deterministic — so the gate is
-tight (1.5x) and still immune to slow CI machines.  The wall-clock
-restore rate is reported but not gated.
+equality: a figure that moves at all means the order or timing of events
+changed, on any machine.  The baseline is recorded at full size (which
+runs in seconds); checking a ``--quick`` run against it is an error, not
+a skipped check.  The wall-clock restore rate is reported but not gated.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+from bench_propagation import machine_fingerprint
 from repro.bgp.session import BGPSession, SessionConfig
 from repro.core import Testbed
 from repro.faults import FaultPlan, Link
@@ -230,18 +233,18 @@ def run_benchmarks(quick: bool):
         "link_flap": run_link_flap(),
         "crash_recovery": run_crash_recovery(quick),
         "containment": run_containment(quick),
+        "machine": machine_fingerprint(),
     }
 
 
 # (section, metric) pairs gated by --check: all simulated-time values,
-# deterministic across machines.
+# identical on every machine.
 GATED = [
     ("link_flap", "mean_downtime_s"),
     ("crash_recovery", "detect_latency_s"),
     ("crash_recovery", "recovery_latency_s"),
     ("containment", "containment_latency_s"),
 ]
-GATE_RATIO = 1.5
 
 
 def check_regression(results) -> int:
@@ -249,25 +252,26 @@ def check_regression(results) -> int:
         print(f"no baseline at {BASELINE}; skipping regression check")
         return 0
     baseline = json.loads(BASELINE.read_text())
-    if baseline.get("config", {}).get("quick") != results["config"]["quick"]:
-        print("baseline/run mode mismatch (quick vs full); skipping check")
-        return 0
+    if baseline["config"] != results["config"]:
+        print(
+            f"FAIL: run config {results['config']} differs from the baseline's "
+            f"{baseline['config']}; nothing was checked"
+        )
+        return 1
     failures = 0
     for section, metric in GATED:
         base = baseline[section][metric]
         now = results[section][metric]
-        ceiling = base * GATE_RATIO
-        verdict = "ok" if now <= ceiling else "FAIL"
+        same = now == base
         print(
-            f"regression gate: {section}.{metric} = {now:g} sim s "
-            f"(baseline {base:g}, ceiling {ceiling:g}) {verdict}"
+            f"determinism gate: {section}.{metric} = {now:g} sim s "
+            f"(baseline {base:g}) {'ok' if same else 'FAIL'}"
         )
-        if now > ceiling:
-            failures += 1
+        failures += not same
     rate = results["crash_recovery"]["routes_restored_per_s"]
     print(f"info (not gated): journal restore rate {rate:g} routes/s")
     if failures:
-        print(f"FAIL: {failures} recovery metric(s) regressed >{GATE_RATIO}x")
+        print(f"FAIL: {failures} simulated figure(s) differ from the baseline")
         return 1
     return 0
 
@@ -283,8 +287,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"fail when a simulated recovery latency regresses >{GATE_RATIO}x"
-        " vs the committed baseline",
+        help="fail unless every simulated recovery latency equals the "
+        "committed baseline's",
     )
     args = parser.parse_args(argv)
 

@@ -9,8 +9,9 @@ channel layer).
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum, auto
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["State", "FsmEvent", "FsmError", "BGPStateMachine"]
 
@@ -71,12 +72,20 @@ _RESET_EVENTS = {
 }
 
 
+# `history` is a debugging aid appended to on every keepalive received;
+# an established session would otherwise grow it for as long as it lives.
+_HISTORY_KEEP = 256
+
+
 class BGPStateMachine:
-    """Tracks session state; optional observers see every transition."""
+    """Tracks session state; optional observers see every transition.
+
+    ``history`` holds the most recent transitions, oldest first.
+    """
 
     def __init__(self) -> None:
         self.state = State.IDLE
-        self.history: List[Tuple[State, FsmEvent, State]] = []
+        self.history: Deque[Tuple[State, FsmEvent, State]] = deque(maxlen=_HISTORY_KEEP)
         self.observers: List[Callable[[State, FsmEvent, State], None]] = []
 
     def fire(self, event: FsmEvent) -> State:

@@ -2,8 +2,20 @@
 
 Everything time-driven in the library — BGP keepalive/hold timers, MRAI,
 route-flap-damping decay, scheduled announcements — runs on this engine.
-It is a classic calendar queue: callbacks scheduled at simulated times,
-executed in time order, with stable FIFO ordering for simultaneous events.
+
+The queue is a binary heap (``heapq``) of ``(time, seq, target)`` tuples:
+``target`` is the :class:`Event` or :class:`Timer` to run and ``seq`` is
+drawn from one per-engine counter, so entries order on ``(time, seq)`` —
+time first, scheduling order among simultaneous ones — and the
+comparison never reaches ``target``.
+
+A :class:`Timer` keeps at most one entry it will act on.  Re-arming it to
+a deadline at or after that entry's time only records the new key; the
+entry left in the heap is then *stale*: when it reaches the head it is
+re-queued under the recorded key (or dropped, if the timer was stopped
+meanwhile) without running anything.  The sequence number is reserved
+when the timer is re-armed, not when the stale entry surfaces, so
+callbacks run in exactly the order a cancel-and-reschedule would give.
 
 The engine is intentionally synchronous and deterministic: given the same
 seedable inputs the same run is reproduced exactly, which the test suite
@@ -12,11 +24,11 @@ relies on.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heappop, heappush, heapreplace
+from math import inf
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = ["SimulationError", "Event", "Timer", "Engine"]
 
@@ -25,18 +37,40 @@ class SimulationError(Exception):
     """Raised for scheduling in the past or running a broken engine."""
 
 
-@dataclass(order=True)
+def _unschedulable(time: float, now: float) -> SimulationError:
+    # Callers test `not time >= now`, which also catches NaN: it compares
+    # false both ways, so it would pass a `<` test and corrupt heap order.
+    return SimulationError(f"cannot schedule at {time}: not at or after now {now}")
+
+
 class Event:
     """A scheduled callback.  Ordering: time, then insertion sequence."""
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
+    __slots__ = ("time", "seq", "action", "cancelled", "label")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        action: Callable[[], None],
+        cancelled: bool = False,
+        label: str = "",
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.cancelled = cancelled
+        self.label = label
+
+    def __repr__(self) -> str:
+        state = " cancelled" if self.cancelled else ""
+        return f"<Event {self.label!r} t={self.time} seq={self.seq}{state}>"
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+_Entry = Tuple[float, int, Union[Event, "Timer"]]  # (time, seq, target)
 
 
 class Timer:
@@ -46,39 +80,61 @@ class Timer:
     ``stop`` disarms, and the callback fires once when it expires.
     """
 
+    __slots__ = ("_engine", "interval", "_action", "label", "_armed", "_queued")
+
     def __init__(self, engine: "Engine", interval: float, action: Callable[[], None], label: str = "timer"):
         self._engine = engine
         self.interval = interval
         self._action = action
-        self._event: Optional[Event] = None
         self.label = label
+        # `_armed` is the (deadline, seq, self) key the timer fires under,
+        # `_queued` the heap entry that will carry it there.  They are the
+        # same object unless the timer was re-armed later (`_queued` is
+        # then stale) or stopped (`_armed` is None until it surfaces).
+        self._armed: Optional[_Entry] = None
+        self._queued: Optional[_Entry] = None
 
     @property
     def running(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        return self._armed is not None
 
     def start(self, interval: Optional[float] = None) -> None:
         """(Re)arm the timer ``interval`` (default: configured) from now."""
         if interval is not None:
             self.interval = interval
-        self.stop()
-        self._event = self._engine.schedule(self.interval, self._fire, label=self.label)
+        self._armed = None  # a start that raises leaves the timer stopped
+        engine = self._engine
+        now = engine.now
+        deadline = now + self.interval
+        if not deadline >= now:
+            raise _unschedulable(deadline, now)
+        self._armed = armed = (deadline, next(engine._seq), self)
+        queued = self._queued
+        if queued is None or queued[0] > deadline:
+            # Nothing of ours will surface by the deadline.  An entry
+            # displaced here is dropped when it reaches the head.
+            self._queued = armed
+            heappush(engine._queue, armed)
 
     def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._armed = None
 
     def _fire(self) -> None:
-        self._event = None
+        self._armed = self._queued = None
         self._action()
 
 
 class Engine:
-    """The event loop.  ``schedule`` relative, ``schedule_at`` absolute."""
+    """The event loop.  ``schedule`` relative, ``schedule_at`` absolute.
+
+    ``processed`` counts callbacks run — not heap entries popped, which
+    also include cancelled events and stale timer entries.  ``pending()``
+    counts callbacks still due: each uncancelled event and each running
+    timer once, however many entries the heap holds for them.
+    """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self.now = 0.0
         self.processed = 0
@@ -105,27 +161,61 @@ class Engine:
         return self.schedule_at(self.now + delay, action, label=label)
 
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        if time < self.now:
-            raise SimulationError(f"cannot schedule at {time} < now {self.now}")
-        event = Event(time=time, seq=next(self._seq), action=action, label=label)
-        heapq.heappush(self._queue, event)
+        if not time >= self.now:
+            raise _unschedulable(time, self.now)
+        seq = next(self._seq)
+        event = Event(time, seq, action, False, label)
+        heappush(self._queue, (time, seq, event))
         return event
 
     def timer(self, interval: float, action: Callable[[], None], label: str = "timer") -> Timer:
         return Timer(self, interval, action, label=label)
 
     def pending(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        count = 0
+        for entry in self._queue:
+            target = entry[2]
+            if target.__class__ is Event:
+                due = not target.cancelled
+            else:
+                due = entry is target._queued and target._armed is not None
+            if due:
+                count += 1
+        return count
+
+    def _requeue(self, entry: _Entry, timer: Timer) -> None:
+        """Resolve a timer entry at the head that is not the armed one."""
+        if entry is not timer._queued:
+            heappop(self._queue)  # displaced by a re-arm to an earlier deadline
+        elif timer._armed is None:
+            heappop(self._queue)  # stopped since it was queued
+            timer._queued = None
+        else:
+            heapreplace(self._queue, timer._armed)  # re-armed later: stale
+            timer._queued = timer._armed
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+        # The head dispatch of run(), repeated here so that run() pays no
+        # call per event.
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            target = entry[2]
+            if target.__class__ is Event:
+                if target.cancelled:
+                    heappop(queue)
+                    continue
+                action = target.action
+            elif entry is target._armed:
+                action = target._fire
+            else:
+                self._requeue(entry, target)
                 continue
-            self.now = event.time
+            heappop(queue)
+            self.now = entry[0]
             self.processed += 1
-            event.action()
+            action()
             return True
         return False
 
@@ -139,21 +229,34 @@ class Engine:
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
+        queue = self._queue
+        horizon = inf if until is None else until
         count = 0
         try:
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+            while queue:
+                entry = queue[0]
+                target = entry[2]
+                if target.__class__ is Event:
+                    if target.cancelled:
+                        heappop(queue)
+                        continue
+                    action = target.action
+                elif entry is target._armed:
+                    action = target._fire
+                else:
+                    self._requeue(entry, target)
                     continue
-                if until is not None and head.time > until:
+                if entry[0] > horizon:
                     break
                 if count >= max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events at t={self.now}; livelock?"
                     )
-                if self.step():
-                    count += 1
+                heappop(queue)
+                self.now = entry[0]
+                self.processed += 1
+                count += 1
+                action()
             if until is not None and self.now < until:
                 self.now = until
         finally:

@@ -99,6 +99,28 @@ def test_history_and_observers():
     assert fsm.history[0] == (State.IDLE, FsmEvent.MANUAL_START, State.CONNECT)
 
 
+def test_history_is_bounded_to_the_most_recent_transitions():
+    fsm = BGPStateMachine()
+    for event in [
+        FsmEvent.MANUAL_START,
+        FsmEvent.TRANSPORT_CONNECTED,
+        FsmEvent.OPEN_RECEIVED,
+        FsmEvent.KEEPALIVE_RECEIVED,
+    ]:
+        fsm.fire(event)
+    keep = fsm.history.maxlen
+    for _ in range(keep - 4):
+        fsm.fire(FsmEvent.KEEPALIVE_RECEIVED)
+    assert len(fsm.history) == keep
+    assert fsm.history[0] == (State.IDLE, FsmEvent.MANUAL_START, State.CONNECT)
+    # One more than fits: the oldest transition goes, the newest is kept.
+    fsm.fire(FsmEvent.UPDATE_RECEIVED)
+    assert len(fsm.history) == keep
+    assert fsm.history[0] == (State.CONNECT, FsmEvent.TRANSPORT_CONNECTED, State.OPEN_SENT)
+    assert fsm.history[-1] == (State.ESTABLISHED, FsmEvent.UPDATE_RECEIVED, State.ESTABLISHED)
+    assert fsm.established
+
+
 def test_can_fire():
     fsm = BGPStateMachine()
     assert fsm.can_fire(FsmEvent.MANUAL_START)
