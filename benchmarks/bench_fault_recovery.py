@@ -23,8 +23,9 @@ baseline (``BENCH_fault_recovery_baseline.json``).  Simulated time is
 machine-independent — the event engine is deterministic — so the gate is
 equality: a figure that moves at all means the order or timing of events
 changed, on any machine.  The baseline is recorded at full size (which
-runs in seconds); checking a ``--quick`` run against it is an error, not
-a skipped check.  The wall-clock restore rate is reported but not gated.
+runs in seconds); checking a ``--quick`` run against it, or checking
+against a baseline file that does not exist, is an error, not a skipped
+check.  The wall-clock restore rate is reported but not gated.
 """
 
 from __future__ import annotations
@@ -247,11 +248,11 @@ GATED = [
 ]
 
 
-def check_regression(results) -> int:
-    if not BASELINE.exists():
-        print(f"no baseline at {BASELINE}; skipping regression check")
-        return 0
-    baseline = json.loads(BASELINE.read_text())
+def check_regression(results, baseline_path: Path = BASELINE) -> int:
+    if not baseline_path.exists():
+        print(f"FAIL: no baseline at {baseline_path}; nothing was checked")
+        return 1
+    baseline = json.loads(baseline_path.read_text())
     if baseline["config"] != results["config"]:
         print(
             f"FAIL: run config {results['config']} differs from the baseline's "
@@ -298,6 +299,10 @@ def main(argv=None) -> int:
     if args.check:
         return check_regression(results)
     return 0
+
+
+def test_check_fails_without_baseline(tmp_path):
+    assert check_regression({"config": {"quick": False}}, tmp_path / "missing.json") == 1
 
 
 if __name__ == "__main__":

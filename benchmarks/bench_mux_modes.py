@@ -6,39 +6,81 @@ cannot support large IXPs with many peers.  We plan to substitute ...
 the BIRD software router, which enables lightweight multiplexing by
 using BGP Additional Paths."
 
-Measured: session count, handshake message volume, and route-relay
-message count per client as the peer count grows, for both modes.
-Expected shape: Quagga-mode grows O(peers) per client; BIRD-mode is O(1)
-sessions with ADD-PATH path ids doing the multiplexing.
+Measured on the paper-scale world, where ``amsterdam01`` has 609 peers
+(as AMS-IX did), for a client attached over the wire in each mode as the
+peer count grows 4 -> 609: the sessions the mux holds for it, the bytes
+attaching it cost (``tracemalloc``), and what keeping it costs while
+nothing happens — events and CPU per simulated minute of
+``run_for(600)``.  Expected shape: Quagga-mode grows O(peers) per client
+in sessions, memory and idle work; BIRD-mode is one session with ADD-PATH
+path ids doing the multiplexing.  Timings are printed, never asserted.
 """
 
+import time
+import tracemalloc
+
 import pytest
-from conftest import emit
+from conftest import PAPER_CONFIG, emit
 
 from repro.core import MuxMode, Testbed
-from repro.inet.gen import InternetConfig
 from repro.net.addr import Prefix
 
-PEER_COUNTS = [4, 16, 64, 256]
+PEER_COUNTS = [4, 16, 64, 256, 609]
+MUX = "amsterdam01"
+IDLE_WINDOW = 120.0  # simulated seconds: four keepalive intervals
+IDLE_WINDOWS = 5  # run_for(600) in all
+# Each side of an idle session sends a keepalive every hold/3 = 30 s.
+EVENTS_PER_SESSION_MINUTE = 4
 
 
 @pytest.fixture(scope="module")
 def world():
-    return Testbed.build_default(InternetConfig(n_ases=2200, seed=6))
+    return Testbed.build_default(PAPER_CONFIG)
 
 
-def attach_and_count(testbed, name, mode, peer_asns):
+def attach_footprint(testbed, name, mode, peer_asns):
+    """Register and attach one client over the wire; returns the client
+    and the bytes the attachment left allocated once it is established."""
     client = testbed.register_client(name, researcher="bench")
-    attachment = client.attach("amsterdam01", mode=mode, peer_asns=peer_asns)
-    server = testbed.server("amsterdam01")
-    sessions = server.client_session_count(name)
-    return client, attachment, sessions
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        client.attach_bgp(MUX, mode=mode, peer_asns=peer_asns)
+        testbed.engine.run_for(1)
+        footprint = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return client, footprint
+
+
+def idle_cost(engine):
+    """Advance ``IDLE_WINDOWS`` windows of idle time; returns (events,
+    CPU ms) per simulated minute — CPU from the least-disturbed window."""
+    processed = engine.processed
+    cpu = []
+    for _ in range(IDLE_WINDOWS):
+        start = time.process_time()
+        engine.run_for(IDLE_WINDOW)
+        cpu.append(time.process_time() - start)
+    minutes = IDLE_WINDOW * IDLE_WINDOWS / 60
+    return (engine.processed - processed) / minutes, min(cpu) * 1000 / (IDLE_WINDOW / 60)
+
+
+def live_sessions(testbed):
+    """Client sessions at every mux: all the idle traffic there is."""
+    return sum(server.client_session_count() for server in testbed.servers.values())
+
+
+def leave(testbed, clients):
+    for client in clients:
+        client.detach(MUX)
+        testbed.retire_experiment(client.client_id)
 
 
 @pytest.mark.parametrize("n_peers", PEER_COUNTS)
 def test_mux_mode_scaling(world, benchmark, n_peers):
     testbed = world
-    server = testbed.server("amsterdam01")
+    server = testbed.server(MUX)
     peer_asns = sorted(server.neighbor_asns)[:n_peers]
     if len(peer_asns) < n_peers:
         pytest.skip(f"only {len(peer_asns)} peers at this scale")
@@ -47,31 +89,82 @@ def test_mux_mode_scaling(world, benchmark, n_peers):
         results = {}
         for mode in (MuxMode.QUAGGA, MuxMode.BIRD):
             name = f"bench-{mode.value}-{n_peers}"
-            client, attachment, sessions = attach_and_count(
-                testbed, name, mode, peer_asns
-            )
-            results[mode.value] = {"sessions": sessions}
-            client.detach("amsterdam01")
-            testbed.retire_experiment(name)
+            client, footprint = attach_footprint(testbed, name, mode, peer_asns)
+            events, cpu_ms = idle_cost(testbed.engine)
+            results[mode.value] = {
+                "sessions": server.client_session_count(name),
+                "live_sessions": live_sessions(testbed),
+                "bytes": footprint,
+                "events_per_min": events,
+                "cpu_ms_per_min": cpu_ms,
+            }
+            leave(testbed, [client])
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for mode in ("quagga", "bird"):
+        r = results[mode]
+        benchmark.extra_info[mode] = r
+        rows.append([
+            f"{mode}-mode",
+            f"{r['sessions']:4d} sessions",
+            f"{r['bytes'] / 1024:8.1f} KiB/client",
+            f"{r['events_per_min']:6.0f} events/sim-min",
+            f"{r['cpu_ms_per_min']:6.2f} ms CPU/sim-min",
+        ])
+    emit(f"mux scaling at {n_peers} peers ({MUX})", rows)
+    quagga, bird = results["quagga"], results["bird"]
+    assert quagga["sessions"] == n_peers
+    assert bird["sessions"] == 1
+    for r in (quagga, bird):
+        assert r["events_per_min"] == EVENTS_PER_SESSION_MINUTE * r["live_sessions"]
+    assert bird["bytes"] < quagga["bytes"]
+
+
+def test_quagga_sessions_at_ten_clients(world, benchmark):
+    """Ten Quagga-mode clients on every AMS-IX peer: 6 090 sessions at one
+    mux, the load §3 says a session per peer cannot carry."""
+    testbed = world
+    server = testbed.server(MUX)
+    peer_asns = sorted(server.neighbor_asns)
+    n_clients = 10
+
+    def run():
+        clients, footprint = [], 0
+        for i in range(n_clients):
+            client, size = attach_footprint(
+                testbed, f"bench-ten-{i}", MuxMode.QUAGGA, peer_asns
+            )
+            clients.append(client)
+            footprint += size
+        sessions = sum(server.client_session_count(c.client_id) for c in clients)
+        live = live_sessions(testbed)
+        events, cpu_ms = idle_cost(testbed.engine)
+        leave(testbed, clients)
+        return sessions, live, footprint, events, cpu_ms
+
+    sessions, live, footprint, events, cpu_ms = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
     emit(
-        f"mux scaling at {n_peers} peers",
+        f"{n_clients} quagga-mode clients x {len(peer_asns)} peers ({MUX})",
         [
-            ["quagga-mode sessions/client", results["quagga"]["sessions"]],
-            ["bird-mode sessions/client", results["bird"]["sessions"]],
+            ["sessions at the mux", sessions],
+            ["attached memory", f"{footprint / 2**20:.1f} MiB"],
+            ["events per sim-minute", f"{events:.0f}"],
+            ["CPU per sim-minute", f"{cpu_ms:.1f} ms"],
         ],
     )
-    assert results["quagga"]["sessions"] == n_peers
-    assert results["bird"]["sessions"] == 1
+    assert sessions == n_clients * len(peer_asns)
+    assert events == EVENTS_PER_SESSION_MINUTE * live
 
 
 def test_route_relay_equivalence(world, benchmark):
     """Both modes must deliver the same per-peer route information; BIRD
     mode just multiplexes it with path ids."""
     testbed = world
-    server = testbed.server("amsterdam01")
+    server = testbed.server(MUX)
     peer_asns = sorted(server.neighbor_asns)[:16]
     dest = next(
         node.asn
@@ -86,7 +179,7 @@ def test_route_relay_equivalence(world, benchmark):
             name = f"relay-{mode.value}"
             client = testbed.register_client(name, researcher="bench")
             router = client.attach_bgp(
-                "amsterdam01", mode=mode, local_asn=64512, peer_asns=peer_asns
+                MUX, mode=mode, local_asn=64512, peer_asns=peer_asns
             )
             sent = server.relay_destination(name, dest, prefix)
             received = [r for r in router.loc_rib.candidates(prefix)]

@@ -71,6 +71,19 @@ _RESET_EVENTS = {
     FsmEvent.OPEN_INVALID,
 }
 
+# The two tables above, flattened for `fire`: the new state for
+# (state, event) sits at ``state._value_ * _STRIDE + event._value_``, None
+# where the event is illegal.  Keyed on the members' int values because
+# `Enum.__hash__` is Python code, and `fire` runs on every keepalive.
+_STRIDE = max(e.value for e in FsmEvent) + 1
+_NEXT: List[Optional[State]] = [None] * ((max(s.value for s in State) + 1) * _STRIDE)
+for (_state, _event), _new in _TRANSITIONS.items():
+    _NEXT[_state.value * _STRIDE + _event.value] = _new
+for _state in State:
+    for _event in _RESET_EVENTS:
+        _NEXT[_state.value * _STRIDE + _event.value] = State.IDLE
+del _state, _event, _new
+
 
 # `history` is a debugging aid appended to on every keepalive received;
 # an established session would otherwise grow it for as long as it lives.
@@ -90,14 +103,11 @@ class BGPStateMachine:
 
     def fire(self, event: FsmEvent) -> State:
         """Apply ``event``; returns the new state or raises FsmError."""
-        if event in _RESET_EVENTS:
-            new = State.IDLE
-        else:
-            key = (self.state, event)
-            if key not in _TRANSITIONS:
-                raise FsmError(f"event {event.name} illegal in state {self.state.name}")
-            new = _TRANSITIONS[key]
-        old, self.state = self.state, new
+        old = self.state
+        new = _NEXT[old._value_ * _STRIDE + event._value_]
+        if new is None:
+            raise FsmError(f"event {event.name} illegal in state {old.name}")
+        self.state = new
         self.history.append((old, event, new))
         for observer in self.observers:
             observer(old, event, new)
@@ -108,4 +118,4 @@ class BGPStateMachine:
         return self.state == State.ESTABLISHED
 
     def can_fire(self, event: FsmEvent) -> bool:
-        return event in _RESET_EVENTS or (self.state, event) in _TRANSITIONS
+        return _NEXT[self.state._value_ * _STRIDE + event._value_] is not None

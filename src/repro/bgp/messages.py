@@ -598,10 +598,18 @@ class NotificationMessage:
         return f"NOTIFICATION {name}/{self.subcode}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeepaliveMessage:
+    """A KEEPALIVE has no body, so every one is the same 19 bytes on the
+    wire and :func:`decode` answers all of them with one shared, frozen
+    instance."""
+
     def encode(self) -> bytes:
-        return _encode_header(MessageType.KEEPALIVE, b"")
+        return _KEEPALIVE_WIRE
+
+
+_KEEPALIVE_WIRE = _encode_header(MessageType.KEEPALIVE, b"")
+_KEEPALIVE = KeepaliveMessage()
 
 
 @dataclass
@@ -628,6 +636,10 @@ def decode(data: bytes, add_path: bool = False, version: int = 4):
     ``add_path`` must reflect the session's negotiated ADD-PATH state since
     the path-id framing is not self-describing.
     """
+    # An established session's traffic is mostly keepalives; a well-formed
+    # one is exactly these bytes, anything else takes the full checks.
+    if data == _KEEPALIVE_WIRE:
+        return _KEEPALIVE
     if len(data) < HEADER_LEN:
         raise MessageDecodeError("short header", HeaderSub.BAD_MESSAGE_LENGTH)
     if data[:16] != MARKER:
@@ -647,7 +659,7 @@ def decode(data: bytes, add_path: bool = False, version: int = 4):
     if kind == MessageType.KEEPALIVE:
         if body:
             raise MessageDecodeError("KEEPALIVE with body", HeaderSub.BAD_MESSAGE_LENGTH)
-        return KeepaliveMessage()
+        return _KEEPALIVE
     if kind == MessageType.ROUTE_REFRESH:
         return RouteRefreshMessage.decode_body(body)
     raise MessageDecodeError(f"bad message type {kind}", HeaderSub.BAD_MESSAGE_TYPE)

@@ -31,10 +31,11 @@ from .attributes import PathAttributes
 from .errors import BGPError, ErrorCode, OpenError, OpenSub
 from .fsm import BGPStateMachine, FsmEvent, State
 from .messages import (
+    _KEEPALIVE,
+    _KEEPALIVE_WIRE,
     AddPathDirection,
     Capability,
     CapabilityCode,
-    KeepaliveMessage,
     NotificationMessage,
     OpenMessage,
     RouteRefreshMessage,
@@ -350,7 +351,7 @@ class BGPSession:
     def _send_keepalive(self) -> None:
         if self.fsm.state in (State.OPEN_CONFIRM, State.ESTABLISHED):
             try:
-                self._send(KeepaliveMessage().encode())
+                self._send(_KEEPALIVE_WIRE)
             except ChannelClosed:
                 self._transport_lost()
                 return
@@ -370,10 +371,11 @@ class BGPSession:
             self._protocol_error(error)
 
     def _dispatch(self, message) -> None:
-        if isinstance(message, OpenMessage):
-            self._handle_open(message)
-        elif isinstance(message, KeepaliveMessage):
+        # `decode` answers every keepalive with the one shared instance.
+        if message is _KEEPALIVE:
             self._handle_keepalive()
+        elif isinstance(message, OpenMessage):
+            self._handle_open(message)
         elif isinstance(message, UpdateMessage):
             self._handle_update(message)
         elif isinstance(message, NotificationMessage):
@@ -410,7 +412,7 @@ class BGPSession:
         )
         self.peer_restart_time = message.graceful_restart_time
         self.fsm.fire(FsmEvent.OPEN_RECEIVED)
-        self._send(KeepaliveMessage().encode())
+        self._send(_KEEPALIVE_WIRE)
         # RFC 4271: a negotiated hold time of zero means no hold timer and
         # no periodic keepalives at all.
         if self.negotiated_hold_time > 0:

@@ -57,7 +57,7 @@ from typing import (
 )
 
 from ..telemetry.metrics import MetricsRegistry
-from .routing import Announcement, ASRoute, OriginSpec, RouteKind, RoutingOutcome
+from .routing import Announcement, ASRoute, RouteKind, RoutingOutcome
 from .topology import ASGraph, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only

@@ -44,13 +44,21 @@ class _DispatchContext:
         self.dispatching = False
 
     def dispatch(self, target: "Endpoint", data: bytes) -> None:
-        self.queue.append((target, data))
+        queue = self.queue
         if self.dispatching:
+            queue.append((target, data))
             return
         self.dispatching = True
         try:
-            while self.queue:
-                endpoint, message = self.queue.popleft()
+            # A handler that raised leaves its queued sends behind; this
+            # message goes after them.  Otherwise it is the only one due
+            # and is delivered without a trip through the queue.
+            if queue:
+                queue.append((target, data))
+            elif not target.closed:
+                target._deliver(data)
+            while queue:
+                endpoint, message = queue.popleft()
                 if not endpoint.closed:
                     endpoint._deliver(message)
         finally:
@@ -95,23 +103,24 @@ class Endpoint:
         """Deliver ``data`` to the peer endpoint."""
         if self.closed:
             raise ChannelClosed(f"endpoint {self.name!r} is closed")
-        if self._peer is None:
+        peer = self._peer
+        if peer is None:
             raise ChannelClosed(f"endpoint {self.name!r} is not connected")
-        if self._peer.closed:
+        if peer.closed:
             raise ChannelClosed(f"peer of {self.name!r} is closed")
         self.sent_count += 1
-        peer = self._peer
         ctx = self._ctx
+        transit = self.transit
+        if transit is None:
+            ctx.dispatch(peer, data)
+            return
 
         def forward(payload: bytes) -> None:
             # A deferred delivery may arrive after the channel was severed.
             if not peer.closed:
                 ctx.dispatch(peer, payload)
 
-        if self.transit is not None:
-            self.transit(data, forward)
-        else:
-            forward(data)
+        transit(data, forward)
 
     def redeliver(self, data: bytes) -> None:
         """Feed ``data`` back into this endpoint through the pair's

@@ -185,6 +185,61 @@ def test_transport_failed_illegal_in_idle():
         fsm.fire(FsmEvent.TRANSPORT_FAILED)
 
 
+# The transition table as `fire` read it before it was flattened: keyed on
+# the Enum members themselves, reset events tested first.
+_REFERENCE_TRANSITIONS = {
+    (State.IDLE, FsmEvent.MANUAL_START): State.CONNECT,
+    (State.IDLE, FsmEvent.AUTOMATIC_START): State.CONNECT,
+    (State.CONNECT, FsmEvent.TRANSPORT_CONNECTED): State.OPEN_SENT,
+    (State.CONNECT, FsmEvent.TRANSPORT_FAILED): State.ACTIVE,
+    (State.ACTIVE, FsmEvent.TRANSPORT_CONNECTED): State.OPEN_SENT,
+    (State.ACTIVE, FsmEvent.TRANSPORT_FAILED): State.ACTIVE,
+    (State.OPEN_SENT, FsmEvent.OPEN_RECEIVED): State.OPEN_CONFIRM,
+    (State.OPEN_SENT, FsmEvent.TRANSPORT_FAILED): State.ACTIVE,
+    (State.OPEN_CONFIRM, FsmEvent.TRANSPORT_FAILED): State.IDLE,
+    (State.ESTABLISHED, FsmEvent.TRANSPORT_FAILED): State.IDLE,
+    (State.OPEN_CONFIRM, FsmEvent.KEEPALIVE_RECEIVED): State.ESTABLISHED,
+    (State.ESTABLISHED, FsmEvent.KEEPALIVE_RECEIVED): State.ESTABLISHED,
+    (State.ESTABLISHED, FsmEvent.UPDATE_RECEIVED): State.ESTABLISHED,
+}
+_REFERENCE_RESETS = {
+    FsmEvent.MANUAL_STOP,
+    FsmEvent.NOTIFICATION_RECEIVED,
+    FsmEvent.HOLD_TIMER_EXPIRED,
+    FsmEvent.OPEN_INVALID,
+}
+
+
+def _reference_fire(state, event):
+    if event in _REFERENCE_RESETS:
+        return State.IDLE
+    key = (state, event)
+    if key not in _REFERENCE_TRANSITIONS:
+        return f"event {event.name} illegal in state {state.name}"
+    return _REFERENCE_TRANSITIONS[key]
+
+
+@pytest.mark.parametrize("state", list(State))
+def test_every_state_event_pair_matches_the_enum_keyed_table(state):
+    for event in FsmEvent:
+        fsm = BGPStateMachine()
+        seen = []
+        fsm.observers.append(lambda *transition: seen.append(transition))
+        fsm.state = state
+        expected = _reference_fire(state, event)
+        assert fsm.can_fire(event) == isinstance(expected, State)
+        if isinstance(expected, State):
+            assert fsm.fire(event) is expected
+            assert fsm.state is expected
+            assert list(fsm.history) == seen == [(state, event, expected)]
+        else:
+            with pytest.raises(FsmError) as raised:
+                fsm.fire(event)
+            assert str(raised.value) == expected
+            assert fsm.state is state
+            assert not fsm.history and not seen
+
+
 def test_illegal_event_leaves_state_unchanged():
     fsm = BGPStateMachine()
     fsm.fire(FsmEvent.MANUAL_START)

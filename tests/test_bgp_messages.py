@@ -213,6 +213,103 @@ class TestUpdate:
         assert decoded.nlri == () and decoded.withdrawn == ()
 
 
+def _reference_decode(data, add_path=False, version=4):
+    """`decode` before the keepalive fast path: every input, a well-formed
+    keepalive included, takes the header checks and a fresh object."""
+    import struct
+
+    from repro.bgp.errors import HeaderSub
+    from repro.bgp.messages import MAX_MESSAGE_LEN, MessageType
+
+    if len(data) < HEADER_LEN:
+        raise MessageDecodeError("short header", HeaderSub.BAD_MESSAGE_LENGTH)
+    if data[:16] != MARKER:
+        raise MessageDecodeError("bad marker", HeaderSub.CONNECTION_NOT_SYNCHRONIZED)
+    length, kind = struct.unpack_from("!HB", data, 16)
+    if length != len(data) or length > MAX_MESSAGE_LEN:
+        raise MessageDecodeError(f"bad length {length}", HeaderSub.BAD_MESSAGE_LENGTH)
+    body = data[HEADER_LEN:]
+    if kind == MessageType.OPEN:
+        return OpenMessage.decode_body(body)
+    if kind == MessageType.UPDATE:
+        return UpdateMessage.decode_body(body, add_path=add_path, version=version)
+    if kind == MessageType.NOTIFICATION:
+        return NotificationMessage.decode_body(body)
+    if kind == MessageType.KEEPALIVE:
+        if body:
+            raise MessageDecodeError("KEEPALIVE with body", HeaderSub.BAD_MESSAGE_LENGTH)
+        return KeepaliveMessage()
+    if kind == MessageType.ROUTE_REFRESH:
+        return RouteRefreshMessage.decode_body(body)
+    raise MessageDecodeError(f"bad message type {kind}", HeaderSub.BAD_MESSAGE_TYPE)
+
+
+def _decoded(fn, data):
+    try:
+        message = fn(data)
+    except BGPError as error:
+        return ("raised", type(error), error.code, error.subcode, str(error))
+    return ("decoded", message)
+
+
+def _near_keepalives():
+    """Every single-byte change, truncation and one-byte extension of the
+    keepalive wire form (the extension both with the header length left
+    at 19 and fixed up to 20)."""
+    wire = KeepaliveMessage().encode()
+    for i in range(len(wire)):
+        for value in range(256):
+            if value != wire[i]:
+                yield wire[:i] + bytes([value]) + wire[i + 1 :]
+    for cut in range(len(wire)):
+        yield wire[:cut]
+    longer = wire[:16] + (len(wire) + 1).to_bytes(2, "big") + wire[18:]
+    for value in range(256):
+        yield wire + bytes([value])
+        yield longer + bytes([value])
+
+
+class TestKeepaliveFastPath:
+    def test_wire_form_is_the_header_alone(self):
+        assert KeepaliveMessage().encode() == MARKER + bytes([0, HEADER_LEN, 4])
+
+    def test_decode_returns_one_shared_keepalive(self):
+        wire = KeepaliveMessage().encode()
+        first = decode(wire)
+        assert isinstance(first, KeepaliveMessage)
+        assert decode(bytes(wire)) is first
+        assert decode(bytearray(wire)) is first
+        assert first == KeepaliveMessage()
+
+    def test_shared_keepalive_cannot_be_mutated(self):
+        import dataclasses
+
+        shared = decode(KeepaliveMessage().encode())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.note = "mine"
+        assert not hasattr(shared, "note")
+
+    def test_near_keepalives_fail_exactly_as_before(self):
+        variants = 0
+        for data in _near_keepalives():
+            assert _decoded(decode, data) == _decoded(_reference_decode, data), data
+            variants += 1
+        assert variants == 19 * 255 + 19 + 2 * 256
+
+    def test_every_message_type_decodes_as_before(self):
+        for message in (
+            make_open(),
+            UpdateMessage.announce([Prefix("10.0.0.0/8")], full_attributes()),
+            UpdateMessage.withdraw([Prefix("10.0.0.0/8")]),
+            NotificationMessage(6, 2, b"bye"),
+            RouteRefreshMessage(),
+            KeepaliveMessage(),
+        ):
+            assert _decoded(decode, message.encode()) == _decoded(
+                _reference_decode, message.encode()
+            )
+
+
 class TestNotification:
     def test_roundtrip(self):
         msg = NotificationMessage(6, 2, b"bye")

@@ -1,12 +1,18 @@
 """Session-level tests: handshake, updates, timers, failures."""
 
+import enum
+import sys
+import types
+
 import pytest
 
 from repro.net.addr import IPAddress, Prefix
-from repro.net.channel import ChannelPair
+from repro.net.channel import ChannelPair, Endpoint, _DispatchContext
 from repro.sim import Engine
+from repro.bgp import messages
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.errors import BGPError
+from repro.bgp.fsm import FsmEvent, State
 from repro.bgp.session import BGPSession, SessionConfig, connect
 
 
@@ -145,6 +151,64 @@ class TestUpdates:
         left.announce([Prefix("10.0.0.0/8")], self.attrs())
         assert left.updates_sent == 1
         assert right.updates_received == 1
+
+
+class TestIdlePath:
+    """What an established session pair may spend trading keepalives."""
+
+    INTERVALS = 100
+
+    def test_keepalive_intervals_allocate_and_hash_nothing(self, monkeypatch):
+        engine = Engine()
+        left, right = make_pair(engine)
+        connect(engine, left, right)
+        assert left.established and right.established
+        observed = {left: [], right: []}
+        for session in (left, right):
+            session.fsm.observers.append(
+                lambda old, event, new, seen=observed[session]: seen.append(event)
+            )
+        endpoints = (left.endpoint, right.endpoint)
+        sent_before = sum(e.sent_count for e in endpoints)
+
+        counts = {"keepalives": 0, "enum_hashes": 0, "dispatches": 0}
+        closures = []
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(messages.KeepaliveMessage, "__init__",
+                            counting("keepalives", messages.KeepaliveMessage.__init__))
+        monkeypatch.setattr(enum.Enum, "__hash__", counting("enum_hashes", enum.Enum.__hash__))
+        monkeypatch.setattr(_DispatchContext, "dispatch",
+                            counting("dispatches", _DispatchContext.dispatch))
+
+        def watch(frame, event, arg):
+            if event == "return" and frame.f_code is Endpoint.send.__code__:
+                closures.extend(
+                    v for v in frame.f_locals.values() if isinstance(v, types.FunctionType)
+                )
+
+        sys.setprofile(watch)
+        try:
+            engine.run_for(self.INTERVALS * left._keepalive_timer.interval)
+        finally:
+            sys.setprofile(None)
+
+        messages_sent = sum(e.sent_count for e in endpoints) - sent_before
+        assert messages_sent == 2 * self.INTERVALS
+        assert counts == {"keepalives": 0, "enum_hashes": 0, "dispatches": messages_sent}
+        assert closures == []
+        for session in (left, right):
+            assert observed[session] == [FsmEvent.KEEPALIVE_RECEIVED] * self.INTERVALS
+            assert list(session.fsm.history)[-self.INTERVALS:] == [
+                (State.ESTABLISHED, FsmEvent.KEEPALIVE_RECEIVED, State.ESTABLISHED)
+            ] * self.INTERVALS
+            assert session.established
 
 
 class TestTimers:

@@ -1,9 +1,14 @@
 """Tests for the packet model, tunnels, and channels."""
 
+import random
+import sys
+import types
+from collections import deque
+
 import pytest
 
 from repro.net.addr import IPAddress
-from repro.net.channel import ChannelClosed, ChannelPair, Endpoint
+from repro.net.channel import ChannelClosed, ChannelPair, Endpoint, _DispatchContext
 from repro.net.packet import (
     Packet,
     PacketError,
@@ -225,3 +230,215 @@ class TestChannel:
             ("b-end", b"ping"),
             ("a", b"pong"),
         ]
+
+
+class _ReferenceContext:
+    """The dispatch context before direct delivery: every message goes
+    through the queue, and the queue is drained whoever appended."""
+
+    def __init__(self):
+        self.queue = deque()
+        self.dispatching = False
+
+    def dispatch(self, target, data):
+        self.queue.append((target, data))
+        if self.dispatching:
+            return
+        self.dispatching = True
+        try:
+            while self.queue:
+                endpoint, message = self.queue.popleft()
+                if not endpoint.closed:
+                    endpoint._deliver(message)
+        finally:
+            self.dispatching = False
+
+
+class _ReferenceEndpoint(Endpoint):
+    """`Endpoint` on the reference context, with the `send` that builds a
+    `forward` closure for every message, hook or no hook."""
+
+    def __init__(self, name=""):
+        super().__init__(name)
+        self._ctx = _ReferenceContext()
+
+    def send(self, data):
+        if self.closed:
+            raise ChannelClosed(f"endpoint {self.name!r} is closed")
+        if self._peer is None:
+            raise ChannelClosed(f"endpoint {self.name!r} is not connected")
+        if self._peer.closed:
+            raise ChannelClosed(f"peer of {self.name!r} is closed")
+        self.sent_count += 1
+        peer = self._peer
+        ctx = self._ctx
+
+        def forward(payload):
+            if not peer.closed:
+                ctx.dispatch(peer, payload)
+
+        if self.transit is not None:
+            self.transit(data, forward)
+        else:
+            forward(data)
+
+
+class _Boom(Exception):
+    """Raised by a scripted receive handler."""
+
+
+def _run_channel_script(seed, make_endpoint, coverage=None):
+    """Two connected pairs driven by a seeded script of sends, engine
+    advances, hook changes, redeliveries and closes; receive handlers send
+    nested messages in both directions and across pairs, close endpoints
+    and raise.  Returns everything observable, in order."""
+    from repro.sim import Engine
+
+    rng = random.Random(seed)
+    engine = Engine()
+    log = []
+    count = coverage if coverage is not None else {}
+
+    def bump(key):
+        count[key] = count.get(key, 0) + 1
+
+    endpoints = []
+    for p in range(2):
+        a, b = make_endpoint(f"a{p}"), make_endpoint(f"b{p}")
+        a.connect(b)
+        endpoints += [a, b]
+    serial = iter(range(10**6))
+
+    def payload(depth):
+        return f"m{next(serial)}.d{depth}".encode()
+
+    def attempt(label, action):
+        try:
+            action()
+        except ChannelClosed:
+            log.append((label, "closed"))
+        except _Boom:
+            log.append((label, "boom"))
+
+    def handler(endpoint):
+        def on_receive(data):
+            log.append(("recv", endpoint.name, data))
+            depth = int(data.split(b".d")[1])
+            if depth < 3:
+                for _ in range(rng.randrange(3)):
+                    sender = rng.choice([endpoint, endpoint._peer, rng.choice(endpoints)])
+                    bump("nested")
+                    attempt("nested", lambda: sender.send(payload(depth + 1)))
+            roll = rng.random()
+            if roll < 0.04:
+                victim = rng.choice([endpoint, endpoint._peer, rng.choice(endpoints)])
+                log.append(("close-in-handler", victim.name))
+                bump("closed_mid_dispatch")
+                victim.close()
+            elif roll < 0.12:
+                log.append(("raise", endpoint.name, data))
+                if endpoint._ctx.queue:
+                    bump("raised_with_leftovers")
+                raise _Boom()
+            log.append(("done", endpoint.name, data))
+
+        return on_receive
+
+    def transit(endpoint):
+        def hook(data, forward):
+            mode = rng.choice(("pass", "drop", "defer", "dup"))
+            log.append(("transit", endpoint.name, data, mode))
+            bump(mode)
+            if mode == "pass":
+                forward(data)
+            elif mode == "dup":
+                forward(data)
+                attempt("dup", lambda: forward(data))
+            elif mode == "defer":
+                engine.schedule(
+                    rng.choice((0.0, 1.0, 2.5)),
+                    lambda: attempt("deferred", lambda: forward(data)),
+                )
+
+        return hook
+
+    for endpoint in endpoints:
+        if rng.random() < 0.8:
+            endpoint.on_receive = handler(endpoint)
+
+    for _ in range(rng.randrange(20, 60)):
+        endpoint = rng.choice(endpoints)
+        op = rng.random()
+        if op < 0.5:
+            if endpoint._ctx.queue and not endpoint._ctx.dispatching:
+                bump("send_behind_leftovers")
+            attempt("send", lambda: endpoint.send(payload(0)))
+        elif op < 0.65:
+            engine.run_for(rng.choice((0.5, 1.0, 3.0)))
+            log.append(("ran", engine.now))
+        elif op < 0.77:
+            endpoint.transit = transit(endpoint) if endpoint.transit is None else None
+            log.append(("hook", endpoint.name, endpoint.transit is not None))
+        elif op < 0.87:
+            if endpoint.closed:
+                bump("redeliver_closed")
+            attempt("redeliver", lambda: endpoint.redeliver(payload(0)))
+        elif op < 0.92:
+            log.append(("drain", endpoint.name, endpoint.drain()))
+        elif op < 0.95:
+            endpoint.on_receive = None if endpoint.on_receive else handler(endpoint)
+        else:
+            log.append(("close", endpoint.name))
+            endpoint.close()
+    engine.run()
+    log.append(("ran", engine.now))
+    for endpoint in endpoints:
+        log.append((
+            endpoint.name, endpoint.sent_count, endpoint.received_count,
+            endpoint.pending(), endpoint.closed,
+            [(target.name, data) for target, data in endpoint._ctx.queue],
+        ))
+    return log
+
+
+def test_dispatch_equals_always_queue_reference():
+    coverage = {}
+    for seed in range(250):
+        assert _run_channel_script(seed, Endpoint, coverage) == _run_channel_script(
+            seed, _ReferenceEndpoint
+        ), f"seed {seed}"
+    # The scripts reach every path the fast delivery has to agree on.
+    for key in ("nested", "pass", "drop", "defer", "dup", "closed_mid_dispatch",
+                "raised_with_leftovers", "send_behind_leftovers", "redeliver_closed"):
+        assert coverage.get(key, 0) >= 20, (key, coverage)
+
+
+def test_send_without_hook_builds_no_closure_and_dispatches_once(monkeypatch):
+    calls = []
+    original = _DispatchContext.dispatch
+
+    def counted(ctx, target, data):
+        calls.append(data)
+        return original(ctx, target, data)
+
+    monkeypatch.setattr(_DispatchContext, "dispatch", counted)
+    pair = ChannelPair("t")
+    pair.b.on_receive = lambda data: pair.b.send(b"re:" + data) if len(data) < 8 else None
+    pair.a.on_receive = lambda data: None
+    made = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is Endpoint.send.__code__:
+            made.extend(
+                v for v in frame.f_locals.values() if isinstance(v, types.FunctionType)
+            )
+
+    sys.setprofile(watch)
+    try:
+        for i in range(50):
+            pair.a.send(b"%d" % i)
+    finally:
+        sys.setprofile(None)
+    assert made == []
+    assert len(calls) == pair.a.sent_count + pair.b.sent_count == 100
+    assert pair.a.received_count == pair.b.received_count == 50
