@@ -13,7 +13,7 @@ The full run deploys a three-site anycast service onto a CAIDA-calibrated
 * **mapping** — a batch of steering variants of the service's
   multi-origin announcement converged in **one** ``propagate_many``
   sweep, every outcome mapped against a >=1.2M-client Zipf population
-  through the compiled root-array fast path.  Headline:
+  by one gather of its root array.  Headline:
   ``clients_mapped_per_s`` (clients x variants / wall-clock for sweep +
   mapping).
 * **engineer** — a full :class:`~repro.anycast.TrafficEngineer`

@@ -39,12 +39,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import and_, lt
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..inet.engine import CompiledOutcome
 from ..inet.routing import RouteKind, RoutingOutcome
 from ..workloads.traffic import ClientPopulation
-from .catchment import CatchmentMap
+from .catchment import CatchmentMap, compile_population, require_compiled
 from .service import AnycastService, SiteSteering
 
 __all__ = [
@@ -186,8 +187,15 @@ class RebalanceReport:
         }
 
 
-# RouteKind is "higher preferred"; arbitration sorts ascending.
-_KIND_RANK = {int(k): -int(k) for k in RouteKind}
+# Screening arbitration folds (kind rank, path length, site rank) into
+# one int, lower winning: RouteKind is "higher preferred", so a kind
+# code k contributes (max code - k) above any path length, and the site
+# rank sits below the path length (key = (base[k] + plen) * sites +
+# rank).  Unreached slots (code 0) get _NEVER, which loses to any route.
+_PLEN_SPAN = 1 << 32
+_ORIGIN = int(RouteKind.ORIGIN)  # the highest code, so _KIND_BASE's last
+_KIND_BASE = [(_ORIGIN - k) * _PLEN_SPAN for k in range(_ORIGIN + 1)]
+_NEVER = 1 << 80
 
 
 class TrafficEngineer:
@@ -445,34 +453,13 @@ class TrafficEngineer:
         outcomes = service.engine.propagate_many(
             ladder + solos, parallel=cfg.parallel, use_cache=False
         )
-        ladder_tables = [self._solo_table(o) for o in outcomes[: len(depths)]]
-        other_tables = [
-            self._solo_table(o) for o in outcomes[len(depths):]
-        ]
-        site_order = service.active_site_names()
-        rank_of = {n: site_order.index(n) for n in site_order}
+        total = self.population.total_clients
         best_depth: Optional[int] = None
         best_imbalance: Optional[float] = None
-        for di, depth in enumerate(depths):
-            tables = [(name, ladder_tables[di])] + list(
-                zip(others, other_tables)
-            )
-            volumes = {n: 0 for n in site_order}
-            total = 0
-            for asn, volume in self.population.items():
-                total += volume
-                chosen: Optional[Tuple[int, int, int]] = None
-                chosen_site: Optional[str] = None
-                for site_name, (index_of, kind, plen) in tables:
-                    i = index_of.get(asn)
-                    if i is None or not kind[i]:
-                        continue
-                    key = (_KIND_RANK[kind[i]], plen[i], rank_of[site_name])
-                    if chosen is None or key < chosen:
-                        chosen = key
-                        chosen_site = site_name
-                if chosen_site is not None:
-                    volumes[chosen_site] += volume
+        screened = self._screen_volumes(
+            name, others, outcomes[: len(depths)], outcomes[len(depths):]
+        )
+        for depth, volumes in zip(depths, screened):
             est_shares = (
                 {n: v / total for n, v in volumes.items()} if total else {}
             )
@@ -484,20 +471,60 @@ class TrafficEngineer:
             return None
         return best_depth
 
-    @staticmethod
-    def _solo_table(
-        outcome: RoutingOutcome,
-    ) -> Tuple[Dict[int, int], List[int], List[int]]:
-        """(index_of, kind, plen) for arbitration — array-backed for
-        compiled outcomes, rebuilt from routes otherwise."""
-        if isinstance(outcome, CompiledOutcome):
-            index_of, kind, _root, plen = outcome.spec_table()
-            return index_of, list(kind), plen
-        index_of = {}
-        kinds: List[int] = []
-        plens: List[int] = []
-        for i, (asn, route) in enumerate(sorted(outcome.items())):
-            index_of[asn] = i
-            kinds.append(int(route.kind))
-            plens.append(len(route.path))
-        return index_of, kinds, plens
+    def _screen_volumes(
+        self,
+        name: str,
+        others: List[str],
+        ladder: List[RoutingOutcome],
+        solos: List[RoutingOutcome],
+    ) -> List[Dict[str, int]]:
+        """Estimated client volume per live site at each ladder depth:
+        each client goes to the footprint with the best (kind, path
+        length, site order) route, or nowhere when no footprint reaches
+        it.  The other sites' best key per client does not depend on the
+        depth, so it is folded once; each depth is then one compare."""
+        site_order = self.service.active_site_names()
+        span = len(site_order)
+        rank_of = {n: i for i, n in enumerate(site_order)}
+        pop = compile_population(
+            self.population, require_compiled(ladder[0])._compiled
+        )
+        gather = pop.gather
+        volumes = pop.served_volumes
+
+        def keys(outcome: RoutingOutcome, rank: int) -> List[int]:
+            solo = require_compiled(outcome)
+            # A shift-regime outcome keeps its prepend shift pending (it
+            # applies to every reached, non-origin slot); folding it into
+            # the per-kind base reads the clients' plen instead of having
+            # spec_table() rebuild the whole plen array.
+            shift = solo._plen_shift
+            base = _KIND_BASE
+            if shift:
+                base = [b + shift for b in base[:_ORIGIN]] + base[_ORIGIN:]
+            return [
+                (base[k] + p) * span + rank if k else _NEVER
+                for k, p in zip(gather(solo._kind), gather(solo._plen))
+            ]
+
+        best = [_NEVER] * len(pop.slots)
+        for other, outcome in zip(others, solos):
+            best = list(map(min, best, keys(outcome, rank_of[other])))
+        owner = [b % span if b != _NEVER else -1 for b in best]
+        held = {
+            other: list(map(rank_of[other].__eq__, owner)) for other in others
+        }
+        holding = {
+            other: sum(compress(volumes, mask)) for other, mask in held.items()
+        }
+        screened: List[Dict[str, int]] = []
+        for outcome in ladder:
+            wins = list(map(lt, keys(outcome, rank_of[name]), best))
+            at = {n: 0 for n in site_order}
+            at[name] = sum(compress(volumes, wins))
+            for other, mask in held.items():
+                at[other] = holding[other] - sum(
+                    compress(volumes, map(and_, wins, mask))
+                )
+            screened.append(at)
+        return screened

@@ -315,22 +315,6 @@ class AnycastService:
         )
         return Announcement(origins=specs, prefix=self.prefix)
 
-    def uplink_site_index(self) -> Dict[int, str]:
-        """Announced-uplink ASN -> site name for the live sites (first
-        site in announcement order claims a shared uplink).  This is the
-        forwarding-chain-based catchment identity — the reference the
-        compiled root-array fast path is property-tested against."""
-        index: Dict[int, str] = {}
-        for name in self.active_site_names():
-            site = self._by_name[name]
-            steering = self._steering[name]
-            uplinks = (
-                steering.uplinks if steering.uplinks is not None else site.uplinks
-            )
-            for uplink in uplinks:
-                index.setdefault(uplink, name)
-        return index
-
     def solo_announcement(
         self, name: str, prepend: Optional[int] = None
     ) -> Announcement:

@@ -231,25 +231,6 @@ class DataPlane:
         delivery = self.send(ingress_asn, Packet(src=src, dst=dst))
         return list(delivery.path)
 
-    def catchment(self, prefix: Prefix) -> Dict[int, int]:
-        """For an anycast prefix: which origin each AS's traffic lands at.
-
-        Returns ``{asn: origin_asn}`` for every AS with a route.
-        """
-        if self.prepare is not None:
-            self.prepare()
-        outcome = self._outcomes.get(prefix)
-        if outcome is None:
-            raise KeyError(prefix)
-        result: Dict[int, int] = {}
-        for asn, _route in outcome.items():
-            chain = outcome.forwarding_chain(asn)
-            terminal = chain[-1]
-            terminal_route = outcome.route(terminal)
-            if terminal_route is not None and terminal_route.via is None:
-                result[asn] = terminal
-        return result
-
 
 def _hopped(packet: Packet, path: List[int]) -> Packet:
     """``packet`` as it looks on arrival at ``path[-1]``: one TTL

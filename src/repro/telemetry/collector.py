@@ -144,6 +144,7 @@ class Collector:
         return {
             "events": len(self.testbed.events),
             "spans": len(self.tracer.finished),
+            "spans_dropped": self.tracer.dropped,
             "bmp_messages": len(self.monitor.messages),
             "monitored_muxes": len(self.monitor.servers()),
             "metric_families": len(self.metrics),

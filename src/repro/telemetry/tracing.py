@@ -25,9 +25,14 @@ OpenTelemetry terms, rendered here as an ordinary parent edge.
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from collections import deque
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = ["SpanContext", "Span", "Tracer", "maybe_span"]
+
+# Finished spans kept per tracer; a long-lived traced testbed would
+# otherwise grow the list for as long as it runs.
+_FINISHED_KEEP = 10_000
 
 
 class SpanContext(NamedTuple):
@@ -123,17 +128,25 @@ class Tracer:
     """Creates spans with deterministic ids and tracks the active one.
 
     ``clock`` defaults to wall time; deterministic runs pass the engine
-    clock.  Finished spans accumulate in :attr:`finished` (append order =
-    finish order); :meth:`spans_of` / :meth:`tree` rebuild per-trace
-    structure for assertions and timeline rendering.
+    clock.  The most recent finished spans are kept in :attr:`finished`
+    (append order = finish order, at most ``_FINISHED_KEEP`` of them;
+    older ones are counted in :attr:`dropped`); :meth:`spans_of` /
+    :meth:`tree` rebuild per-trace structure for assertions and timeline
+    rendering.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock or _time.monotonic
-        self.finished: List[Span] = []
+        self.finished: Deque[Span] = deque(maxlen=_FINISHED_KEEP)
         self._stack: List[Span] = []
         self._next_trace = 1
         self._next_span = 1
+
+    @property
+    def dropped(self) -> int:
+        """Finished spans evicted from :attr:`finished`: every span opened
+        is still open, kept, or dropped, so the hot exit counts nothing."""
+        return self._next_span - 1 - len(self._stack) - len(self.finished)
 
     # -- span lifecycle -------------------------------------------------------
 

@@ -1,6 +1,9 @@
-"""Anycast subsystem: service wiring, catchment mapping (fast path vs
-forwarding-chain reference), stability reports, fault-plan failover, and
-the closed-loop traffic engineer."""
+"""Anycast subsystem: service wiring, catchment mapping (compiled
+population vs forwarding-chain reference), stability reports, fault-plan
+failover, and the closed-loop traffic engineer."""
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -15,7 +18,8 @@ from repro.anycast import (
 )
 from repro.faults.plan import FaultPlan
 from repro.inet.gen import InternetConfig, build_internet
-from repro.inet.topology import ASKind
+from repro.inet.routing import Announcement, OriginSpec, propagate
+from repro.inet.topology import ASGraph, ASKind, ASNode
 from repro.sim.engine import Engine
 from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads import ClientPopulation, zipf_clients
@@ -46,6 +50,78 @@ def make_world(n_ases=800, seed=42, n_sites=3, uplinks_per_site=3):
 @pytest.fixture()
 def world():
     return make_world()
+
+
+def _reference_catchment(outcome, asn, origin_asn, uplink_site):
+    """The forwarding-chain catchment identity: the site owning the
+    uplink through which ``asn``'s traffic enters ``origin_asn``."""
+    chain = outcome.forwarding_chain(asn)
+    if len(chain) < 2 or chain[-1] != origin_asn:
+        return UNSERVED
+    return uplink_site.get(chain[-2], UNSERVED)
+
+
+class _ReferenceMap:
+    """A catchment map the slow way: one dict entry and one chain walk
+    per client AS."""
+
+    def __init__(self, service, population, outcome):
+        # Announced uplink -> site for the live sites (site uplinks are
+        # disjoint, so each uplink names one site).
+        uplink_site = {}
+        for name in service.active_site_names():
+            steering = service.steering_of(name)
+            uplinks = steering.uplinks or service.site(name).uplinks
+            uplink_site.update((uplink, name) for uplink in uplinks)
+        self.sites = service.active_site_names()
+        self.weights = {}
+        self.assignment = {}
+        for asn, volume in population.items():
+            self.weights[asn] = self.weights.get(asn, 0) + volume
+            self.assignment[asn] = _reference_catchment(
+                outcome, asn, service.asn, uplink_site
+            )
+        self.volume_by_site = {s: 0 for s in self.sites}
+        self.ases_by_site = {s: 0 for s in self.sites}
+        self.entries = {s: {} for s in self.sites}
+        self.unserved_volume = self.unserved_ases = 0
+        for asn, site in self.assignment.items():
+            volume = self.weights[asn]
+            if site == UNSERVED:
+                self.unserved_volume += volume
+                self.unserved_ases += 1
+                continue
+            self.volume_by_site[site] += volume
+            self.ases_by_site[site] += 1
+            uplink = outcome.forwarding_chain(asn)[-2]
+            entries = self.entries[site]
+            entries[uplink] = entries.get(uplink, 0) + volume
+
+    def diff(self, other):
+        flows = {}
+        total = 0
+        for asn, before in self.assignment.items():
+            after = other.assignment.get(asn)
+            if after is None:
+                continue
+            volume = self.weights[asn]
+            total += volume
+            if before != after:
+                flows[(before, after)] = flows.get((before, after), 0) + volume
+        return tuple(sorted(flows.items(), key=lambda kv: (-kv[1], kv[0]))), total
+
+
+def _assert_matches_reference(cmap, ref, population):
+    for asn in population.asns():
+        assert cmap.site_of(asn) == ref.assignment[asn], asn
+    assert cmap.volume_by_site == ref.volume_by_site
+    assert cmap.ases_by_site == ref.ases_by_site
+    assert cmap.unserved_volume == ref.unserved_volume
+    assert cmap.unserved_ases == ref.unserved_ases
+    assert cmap.total_volume == sum(ref.weights.values())
+    assert cmap.total_ases == len(ref.weights)
+    for site in cmap.sites:
+        assert cmap.entry_volumes(site) == ref.entries[site], site
 
 
 class TestServiceWiring:
@@ -119,12 +195,8 @@ class TestCatchmentMap:
     def test_fast_path_matches_chain_reference(self, world):
         _, service, population = world
         cmap = CatchmentMap.compute(service, population)
-        ref = CatchmentMap.from_outcome(
-            service, population, cmap._outcome, prefer_arrays=False
-        )
-        for asn in population.asns():
-            assert cmap.site_of(asn) == ref.site_of(asn)
-        assert cmap.volume_by_site == ref.volume_by_site
+        ref = _ReferenceMap(service, population, cmap._outcome)
+        _assert_matches_reference(cmap, ref, population)
 
     def test_shares_partition_the_population(self, world):
         _, service, population = world
@@ -211,6 +283,273 @@ class TestCatchmentMap:
         text = "\n".join(CatchmentMap.compute(service, population).render())
         for name in service.active_site_names():
             assert name in text
+
+
+ABSENT_ASN = 3_999_999_998  # never in any topology
+ISOLATED_ASN = 3_999_999_999  # in the topology, with no links
+
+
+def diff_world(seed):
+    """A small seeded world whose population has every awkward entry:
+    duplicate ASNs, ASNs absent from the topology, an AS no route
+    reaches, the anycast origin itself, and the site uplinks (which see
+    a customer route from their own site and a worse kind from others)."""
+    net = build_internet(
+        InternetConfig(n_ases=400, total_prefixes=30_000, seed=seed)
+    )
+    graph = net.graph
+    graph.add_as(ASNode(asn=ISOLATED_ASN))
+    transits = [n.asn for n in graph.nodes() if n.kind == ASKind.TRANSIT]
+    sites = [
+        AnycastSite(
+            name=f"site{i:02d}",
+            transits=tuple(transits[3 * i:3 * i + 3]),
+            peers=(transits[9],) if i == 2 else (),
+        )
+        for i in range(3)
+    ]
+    service = AnycastService.deploy(graph, sites)
+    base = zipf_clients(graph, ases=150, clients=40_000, seed=seed)
+    weights = (
+        base.weights
+        + tuple((asn, 7) for asn, _ in base.weights[:12])
+        + ((ABSENT_ASN, 70), (ISOLATED_ASN, 30), (service.asn, 25), (ABSENT_ASN, 5))
+        + tuple((asn, 400) for asn in transits[:10])
+    )
+    return graph, service, ClientPopulation(weights)
+
+
+def _steer(service, scenario):
+    a, b, c = service.active_site_names()
+    if scenario in ("prepend", "combined"):
+        service.adjust(a, prepend=3)
+    if scenario in ("poison", "combined"):
+        service.adjust(b, poison=(service.site(a).uplinks[0],))
+    if scenario in ("drop-uplink", "combined"):
+        service.adjust(c, uplinks=service.site(c).uplinks[:1])
+    if scenario in ("failed-site", "combined"):
+        service.fail_site(b)
+
+
+SCENARIOS = ("base", "prepend", "poison", "drop-uplink", "failed-site", "combined")
+
+
+class TestCatchmentDifferential:
+    """Compiled-population maps against the chain-walk reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_map_and_diff_match_reference(self, seed, scenario):
+        _, service, population = diff_world(seed)
+        base = CatchmentMap.compute(service, population)
+        base_ref = _ReferenceMap(service, population, base._outcome)
+        _assert_matches_reference(base, base_ref, population)
+        _steer(service, scenario)
+        cmap = CatchmentMap.compute(service, population)
+        ref = _ReferenceMap(service, population, cmap._outcome)
+        _assert_matches_reference(cmap, ref, population)
+        for a, b, ra, rb in ((base, cmap, base_ref, ref), (cmap, base, ref, base_ref)):
+            shift = a.diff(b)
+            flows, total = ra.diff(rb)
+            assert shift.flows == flows
+            assert shift.total_volume == total
+            assert shift.flipped_volume == sum(v for _, v in flows)
+        # A second population (a reversed, partly disjoint subset) still
+        # compares over the ASes the two share.
+        other = ClientPopulation(
+            tuple(reversed(population.weights[::2])) + ((ABSENT_ASN - 1, 9),)
+        )
+        omap = CatchmentMap.compute(service, other)
+        oref = _ReferenceMap(service, other, omap._outcome)
+        _assert_matches_reference(omap, oref, other)
+        for a, b, ra, rb in ((base, omap, base_ref, oref), (omap, base, oref, base_ref)):
+            flows, total = ra.diff(rb)
+            assert a.diff(b).flows == flows
+            assert a.diff(b).total_volume == total
+
+    def test_single_served_entry(self, world):
+        _, service, population = world
+        single = ClientPopulation(((population.asns()[0], 10), (ABSENT_ASN, 3)))
+        cmap = CatchmentMap.compute(service, single)
+        _assert_matches_reference(
+            cmap, _ReferenceMap(service, single, cmap._outcome), single
+        )
+
+    def test_recompiles_after_topology_change(self):
+        graph, service, population = diff_world(1)
+        CatchmentMap.compute(service, population)
+        # A new lowest ASN moves every compiled slot up by one.
+        graph.add_as(ASNode(asn=min(graph.asns()) - 1))
+        cmap = CatchmentMap.compute(service, population)
+        ref = _ReferenceMap(service, population, cmap._outcome)
+        _assert_matches_reference(cmap, ref, population)
+
+    def test_reference_outcome_is_refused(self, world):
+        _, service, population = world
+        outcome = propagate(service.engine.graph, service.announcement())
+        with pytest.raises(TypeError, match="RoutingOutcome"):
+            CatchmentMap.from_outcome(service, population, outcome)
+
+    def test_map_retains_no_per_client_dict(self):
+        n = 20_000
+        graph = ASGraph()
+        with graph.batch():
+            for asn in (1, 2):
+                graph.add_as(ASNode(asn=asn, kind=ASKind.TRANSIT))
+            for asn in range(10, 10 + n):
+                graph.add_as(ASNode(asn=asn))
+                graph.add_provider(customer=asn, provider=1 + asn % 2)
+        service = AnycastService.deploy(
+            graph, [AnycastSite("a", transits=(1,)), AnycastSite("b", transits=(2,))]
+        )
+        population = ClientPopulation(tuple((asn, 3) for asn in range(10, 10 + n)))
+        outcome = CatchmentMap.compute(service, population)._outcome  # compiles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cmap = CatchmentMap.from_outcome(service, population, outcome)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert cmap.volume_by_site == {"a": 3 * n // 2, "b": 3 * n // 2}
+        # One pointer-sized slot per entry, plus a little per map.
+        assert retained < 12 * n, retained
+        assert not any(
+            isinstance(v, dict) and len(v) >= n for v in vars(cmap).values()
+        )
+
+
+def _reference_screen_volumes(engineer, name, others, ladder, solos):
+    """Per-depth screening volumes the slow way: every client, every
+    depth, every footprint, one (kind rank, plen, site rank) tuple."""
+    site_order = engineer.service.active_site_names()
+    rank_of = {n: site_order.index(n) for n in site_order}
+    other_tables = [o.spec_table() for o in solos]
+    screened = []
+    for outcome in ladder:
+        tables = [(name, outcome.spec_table())] + list(zip(others, other_tables))
+        volumes = {n: 0 for n in site_order}
+        for asn, volume in engineer.population.items():
+            chosen = chosen_site = None
+            for site_name, (index_of, kind, _root, plen) in tables:
+                i = index_of.get(asn)
+                if i is None or not kind[i]:
+                    continue
+                key = (-kind[i], plen[i], rank_of[site_name])
+                if chosen is None or key < chosen:
+                    chosen, chosen_site = key, site_name
+            if chosen_site is not None:
+                volumes[chosen_site] += volume
+        screened.append(volumes)
+    return screened
+
+
+def _screen_inputs(engineer, name):
+    service = engineer.service
+    steering = service.steering_of(name)
+    depths = list(range(steering.prepend, engineer.config.max_prepend + 1))
+    others = [n for n in service.active_site_names() if n != name]
+    outcomes = service.engine.propagate_many(
+        [service.solo_announcement(name, prepend=d) for d in depths]
+        + [service.solo_announcement(n) for n in others],
+        use_cache=False,
+    )
+    return depths, others, outcomes[:len(depths)], outcomes[len(depths):]
+
+
+def _reference_screen_prepend(self, name, steering):
+    """``TrafficEngineer._screen_prepend`` over the reference volumes."""
+    if steering.prepend >= self.config.max_prepend:
+        return None
+    depths, others, ladder, solos = _screen_inputs(self, name)
+    total = sum(v for _, v in self.population.items())
+    best_depth = best_imbalance = None
+    for depth, volumes in zip(
+        depths, _reference_screen_volumes(self, name, others, ladder, solos)
+    ):
+        shares = {n: v / total for n, v in volumes.items()} if total else {}
+        imbalance = self.imbalance(shares)
+        if best_imbalance is None or imbalance < best_imbalance:
+            best_imbalance, best_depth = imbalance, depth
+    if best_depth is None or best_depth == steering.prepend:
+        return None
+    return best_depth
+
+
+SKEWED = (0.6, 0.3, 0.1)
+
+
+class TestScreenDifferential:
+    """Hoisted prepend screening against the per-depth tuple loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scenario", ("base", "poison", "drop-uplink"))
+    def test_screen_matches_reference(self, seed, scenario):
+        _, service, population = diff_world(seed)
+        _steer(service, scenario)
+        names = service.active_site_names()
+        engineer = TrafficEngineer(
+            service, population, dict(zip(names, SKEWED)),
+            EngineerConfig(max_prepend=4),
+        )
+        for name in names:
+            _, others, ladder, solos = _screen_inputs(engineer, name)
+            assert engineer._screen_volumes(
+                name, others, ladder, solos
+            ) == _reference_screen_volumes(engineer, name, others, ladder, solos)
+            steering = service.steering_of(name)
+            assert engineer._screen_prepend(name, steering) == (
+                _reference_screen_prepend(engineer, name, steering)
+            )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rebalance_report_matches_reference(self, seed, monkeypatch):
+        reports = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(
+                    TrafficEngineer, "_screen_prepend", _reference_screen_prepend
+                )
+            _, service, population = diff_world(seed)
+            names = service.active_site_names()
+            engineer = TrafficEngineer(
+                service, population, dict(zip(names, SKEWED)),
+                EngineerConfig(max_iterations=4, seed=seed),
+            )
+            reports.append(engineer.rebalance().to_json())
+        assert reports[0] == reports[1]
+        assert '"applied":"' in reports[0]
+
+
+def two_origin_world():
+    g = ASGraph()
+    for asn in (1, 3, 4, 5, 66, 9):
+        g.add_as(ASNode(asn=asn))
+    g.add_provider(3, 1)
+    g.add_provider(4, 1)
+    g.add_provider(5, 3)  # victim
+    g.add_provider(66, 4)  # hijacker
+    g.add_provider(9, 4)  # bystander near hijacker
+    return g
+
+
+class TestReferenceCatchment:
+    def test_contested_prefix_splits_by_entry(self):
+        contested = propagate(
+            two_origin_world(),
+            Announcement(origins=(OriginSpec(asn=5), OriginSpec(asn=66))),
+        )
+        victim, hijacker = {3: "victim"}, {4: "hijacker"}
+        assert _reference_catchment(contested, 3, 5, victim) == "victim"
+        assert _reference_catchment(contested, 9, 66, hijacker) == "hijacker"
+        assert _reference_catchment(contested, 4, 66, hijacker) == "hijacker"
+        assert _reference_catchment(contested, 9, 5, victim) == UNSERVED
+
+    def test_unknown_asn_is_unserved(self):
+        outcome = propagate(two_origin_world(), Announcement.single(5))
+        assert _reference_catchment(outcome, 424242, 5, {3: "victim"}) == UNSERVED
+        assert _reference_catchment(outcome, 5, 5, {3: "victim"}) == UNSERVED
 
 
 class TestFailover:

@@ -250,25 +250,6 @@ class TestDataPlane:
             9, 4, 1, 3, 5,
         ]
 
-    def test_catchment(self):
-        g = two_origin_world()
-        contested = propagate(
-            g, Announcement(origins=(OriginSpec(asn=5), OriginSpec(asn=66)))
-        )
-        plane = DataPlane(g)
-        prefix = Prefix("184.164.224.0/24")
-        plane.install(prefix, contested, owner=5)
-        catchment = plane.catchment(prefix)
-        assert catchment[3] == 5
-        assert catchment[9] == 66
-        assert catchment[4] == 66
-
-    def test_catchment_unknown_prefix(self):
-        g = two_origin_world()
-        plane = DataPlane(g)
-        with pytest.raises(KeyError):
-            plane.catchment(Prefix("10.0.0.0/8"))
-
     def test_uninstall(self):
         g = two_origin_world()
         outcome = propagate(g, Announcement.single(5))

@@ -7,6 +7,7 @@ import pytest
 from repro.core.testbed import Testbed
 from repro.inet.gen import InternetConfig
 from repro.sim.engine import Engine
+from repro.telemetry import tracing
 from repro.telemetry.tracing import Tracer, maybe_span
 
 
@@ -92,6 +93,20 @@ class TestTracer:
         names = [s.name for s in tracer.spans_of(trace_id)]
         assert names == ["a", "b"]
 
+    def test_finished_keeps_the_newest_and_counts_drops(self):
+        keep = tracing._FINISHED_KEEP
+        tracer = Tracer(clock=lambda: 0.0)
+        for i in range(keep + 5):
+            with tracer.span(f"s{i}"):
+                pass
+        assert len(tracer.finished) == keep
+        assert tracer.dropped == 5
+        assert tracer.finished[0].name == "s5"
+        span = tracer.start_span("manual")
+        tracer.end_span(span)
+        assert tracer.dropped == 6
+        assert tracer.finished[-1] is span
+
 
 @pytest.fixture()
 def observed_testbed():
@@ -103,6 +118,17 @@ def observed_testbed():
 
 
 class TestTestbedTracing:
+    def test_collector_reports_dropped_spans(self, observed_testbed):
+        _, collector = observed_testbed
+        assert collector.stats()["spans_dropped"] == 0
+        tracer = collector.tracer
+        for _ in range(tracing._FINISHED_KEEP + 3):
+            with tracer.span("filler"):
+                pass
+        stats = collector.stats()
+        assert stats["spans"] == tracing._FINISHED_KEEP
+        assert stats["spans_dropped"] >= 3
+
     def test_announcement_span_tree(self, observed_testbed):
         """The acceptance criterion: client op -> mux -> safety check ->
         propagation, causally linked in one trace."""
