@@ -51,7 +51,6 @@ from repro.anycast import (
     SiteSteering,
     TrafficEngineer,
 )
-from repro.inet.engine import default_parallelism
 from repro.inet.gen import InternetConfig, build_caida_like, build_internet
 from repro.inet.topology import ASKind
 from repro.workloads import zipf_clients
@@ -102,8 +101,8 @@ def build_world(quick: bool, seed_offset: int = 0):
     return graph, service, population
 
 
-def bench_mapping(service, population, workers: int):
-    """One batched parallel sweep over SWEEP_VARIANTS steering variants,
+def bench_mapping(service, population):
+    """One batched sweep over SWEEP_VARIANTS steering variants,
     every outcome mapped against the full population."""
     site0 = service.sites[0].name
     variants = [
@@ -113,9 +112,7 @@ def bench_mapping(service, population, workers: int):
     # Warm the compile (excluded: one-time cost, not mapping throughput).
     service.engine.propagate(variants[0])
     start = time.perf_counter()
-    maps = CatchmentMap.compute_many(
-        service, population, variants, parallel=workers
-    )
+    maps = CatchmentMap.compute_many(service, population, variants)
     elapsed = time.perf_counter() - start
     clients_mapped = population.total_clients * len(maps)
     assert all(
@@ -139,14 +136,14 @@ def bench_mapping(service, population, workers: int):
 TARGET_SKEW = (0.5, 0.3, 0.2)
 
 
-def run_engineer(service, population, workers: int):
+def run_engineer(service, population):
     names = service.active_site_names()
     targets = {name: TARGET_SKEW[i] for i, name in enumerate(names)}
     engineer = TrafficEngineer(
         service,
         population,
         targets,
-        EngineerConfig(max_iterations=6, seed=ENGINEER_SEED, parallel=workers),
+        EngineerConfig(max_iterations=6, seed=ENGINEER_SEED),
     )
     start = time.perf_counter()
     report = engineer.rebalance()
@@ -154,12 +151,12 @@ def run_engineer(service, population, workers: int):
     return report, elapsed
 
 
-def bench_engineer(quick: bool, workers: int, first_report):
+def bench_engineer(quick: bool, first_report):
     report, elapsed = first_report
     # Determinism: the identical world, rebuilt from scratch, must
     # produce a byte-identical report under the fixed seed.
     _, service, population = build_world(quick)
-    rerun, _ = run_engineer(service, population, workers)
+    rerun, _ = run_engineer(service, population)
     return {
         "iterations": len(report.iterations),
         "shift_iterations": report.shift_iterations,
@@ -172,23 +169,20 @@ def bench_engineer(quick: bool, workers: int, first_report):
     }
 
 
-def run_benchmarks(quick: bool, workers: int):
+def run_benchmarks(quick: bool):
     build_start = time.perf_counter()
     graph, service, population = build_world(quick)
     build_s = time.perf_counter() - build_start
-    mapping = bench_mapping(service, population, workers)
+    mapping = bench_mapping(service, population)
     # The engineer starts from default steering: rebuild the service's
     # steering state is unnecessary (bench_mapping never mutates it).
-    engineer = bench_engineer(
-        quick, workers, run_engineer(service, population, workers)
-    )
+    engineer = bench_engineer(quick, run_engineer(service, population))
     return {
         "config": {
             "quick": quick,
             "n_ases": len(graph),
             "sites": N_SITES,
             "uplinks_per_site": UPLINKS_PER_SITE,
-            "workers": workers,
             "cpu_count": os.cpu_count(),
             "build_s": round(build_s, 3),
         },
@@ -252,22 +246,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--output", default=None, help="result JSON path")
     parser.add_argument(
-        "--workers",
-        "--parallel",
-        dest="workers",
-        type=int,
-        default=None,
-        help="workers for the batched sweep (default: cpu_count - 1)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="fail on regression vs committed baseline (mapping rate) "
         "or broken invariants (shift iterations, imbalance, determinism)",
     )
     args = parser.parse_args(argv)
-    workers = args.workers or default_parallelism()
-    results = run_benchmarks(args.quick, workers)
+    results = run_benchmarks(args.quick)
     output = args.output or "BENCH_anycast.json"
     Path(output).write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))

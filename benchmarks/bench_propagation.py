@@ -22,16 +22,16 @@ Measures six regimes on a seeded internet:
 * **delta** — a single-announcement steering change (prepend bump)
   recomputed via ``propagate_delta`` against a full reconvergence;
 * **sweep** — a 100-point steering sweep (a handful of steering configs
-  x prepend levels, shuffled — the shape the engine's affinity
-  partitioner is built to recover), reference serial vs engine serial
-  (delta-chained) vs ``propagate_many(parallel=N)`` worker chains.
+  x prepend levels, shuffled — the shape the engine's affinity ordering
+  is built to recover), reference serial vs ``propagate_many``
+  (delta-chained).
 
 ``--scale`` switches to the Internet-scale harness: a CAIDA-calibrated
 50k-AS topology from ``build_caida_like`` (or an ingested serial
 snapshot via ``--topology``), timing graph build, compile + first
 convergence, single- and multi-spec full convergence, the secured
 hijack against the same announcement unsecured, the delta regime, and a
-100-point sweep serial vs parallel.  Results go to
+100-point sweep.  Results go to
 ``BENCH_propagation_scale.json`` and are gated against
 ``BENCH_propagation_scale_baseline.json``.
 
@@ -41,10 +41,7 @@ it tolerates slow CI machines but catches real regressions in the
 compiled kernel.  The delta gate additionally enforces the hard 10x
 floor for single-announcement incremental reconvergence; the scale run
 adds a 4x ceiling on what the security hook may cost over the unsecured
-converge, a 2x floor for the parallel sweep over serial delta chaining
-(enforced only on machines with >= 4 CPUs — the fan-out cannot win on a
-1-core box), and bounds the 50k sweep wall-clock relative to its
-baseline.
+converge and bounds the 50k sweep wall-clock relative to its baseline.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.inet.engine import PropagationEngine, default_parallelism
+from repro.inet.engine import PropagationEngine
 from repro.inet.gen import (
     InternetConfig,
     build_caida_like,
@@ -81,11 +78,6 @@ DELTA_FLOOR = 10.0
 # Hard ceiling at scale for the secured converge over the unsecured one:
 # the filters are a per-settle hook on the same kernel, not a second one.
 SECURE_CEILING = 4.0
-# Hard floor for the parallel sweep at scale: worker delta chains must
-# beat the serial delta chain by at least this much — only meaningful
-# with real cores to fan out over.
-PARALLEL_FLOOR = 2.0
-PARALLEL_GATE_MIN_CPUS = 4
 
 
 def build_world(quick: bool):
@@ -168,7 +160,7 @@ def timed_pair(fn_a, fn_b, repeat):
 
 def machine_fingerprint():
     """Where a result was recorded — baselines state it so a ratio that
-    depends on the machine (parallel sweep, wall-clock budget) can be
+    depends on the machine (wall-clock budget) can be
     read against the right hardware."""
     return {
         "cpu_count": os.cpu_count(),
@@ -235,7 +227,7 @@ def secured_hijack(graph):
     return hijack, policy.compile_for(hijack)
 
 
-def run_benchmarks(quick: bool, parallel: int):
+def run_benchmarks(quick: bool):
     graph = build_world(quick)
     origin = pick_origin(graph)
     announcement = Announcement.single(origin)
@@ -282,13 +274,9 @@ def run_benchmarks(quick: bool, parallel: int):
     def eng_sweep():
         engine.propagate_many(sweep, use_cache=False)
 
-    def eng_sweep_parallel():
-        engine.propagate_many(sweep, parallel=parallel, use_cache=False)
-
     sweep_repeat = 1 if quick else 2
     sweep_ref = timed(ref_sweep, sweep_repeat)
     sweep_eng = timed(eng_sweep, sweep_repeat)
-    sweep_par = timed(eng_sweep_parallel, sweep_repeat)
 
     return {
         "config": {
@@ -296,7 +284,6 @@ def run_benchmarks(quick: bool, parallel: int):
             "n_ases": len(graph),
             "sweep_points": points,
             "origin": origin,
-            "parallel_workers": parallel,
             **machine_fingerprint(),
         },
         "single_shot": {
@@ -323,22 +310,19 @@ def run_benchmarks(quick: bool, parallel: int):
         "sweep": {
             "reference_s": round(sweep_ref, 6),
             "engine_serial_s": round(sweep_eng, 6),
-            "engine_parallel_s": round(sweep_par, 6),
             "serial_speedup": round(sweep_ref / sweep_eng, 3),
-            "parallel_speedup": round(sweep_ref / sweep_par, 3),
         },
         "engine_stats": engine.stats(),
     }
 
 
-def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
+def run_scale_benchmarks(n_ases: int, topology: str = None):
     """Internet-scale regime: CAIDA-calibrated topology, delta sweeps.
 
     No reference-propagator comparison here — at 50k ASes the reference
     run would dominate the whole benchmark; the gates are the delta
     speedup and the unsecured-vs-secured converge ratio (machine-
-    independent), the parallel-vs-serial sweep ratio (on machines with
-    enough cores), and the sweep wall-clock relative to the committed
+    independent) and the sweep wall-clock relative to the committed
     baseline.  ``topology`` swaps the generator for
     :func:`load_caida_serial` on a published (or fixture)
     AS-relationship snapshot.
@@ -380,11 +364,6 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
 
     sweep = steering_sweep(graph, origin, 100)
     serial_s = timed(lambda: engine.propagate_many(sweep, use_cache=False))
-    parallel_s = timed(
-        lambda: engine.propagate_many(
-            sweep, parallel=workers, use_cache=False
-        )
-    )
     stats = engine.stats()
 
     return {
@@ -393,7 +372,6 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
             "n_ases": len(graph),
             "sweep_points": len(sweep),
             "origin": origin,
-            "workers": workers,
             "topology": topology,
             **machine_fingerprint(),
         },
@@ -418,8 +396,6 @@ def run_scale_benchmarks(n_ases: int, workers: int, topology: str = None):
         "sweep": {
             "total_s": round(serial_s, 3),
             "per_point_ms": round(serial_s / len(sweep) * 1e3, 3),
-            "parallel_s": round(parallel_s, 3),
-            "parallel_vs_serial": round(serial_s / parallel_s, 3),
         },
         "engine_stats": stats,
     }
@@ -507,25 +483,6 @@ def check_scale_regression(results) -> int:
         max(1 / SECURE_CEILING, baseline["secure"]["unsecured_vs_secured"] / 2),
         failures,
     )
-    # The parallel fan-out can only beat the serial delta chain with
-    # real cores behind it; a 1-core box timeshares the workers and
-    # adds pure overhead, so the gate keys off the measuring machine.
-    cpus = results["config"].get("cpu_count") or 0
-    workers = results["config"].get("workers") or 0
-    if cpus >= PARALLEL_GATE_MIN_CPUS and workers >= 2:
-        base_par = baseline["sweep"].get("parallel_vs_serial", PARALLEL_FLOOR)
-        _gate(
-            "scale parallel sweep vs serial",
-            results["sweep"]["parallel_vs_serial"],
-            max(PARALLEL_FLOOR, base_par / 2),
-            failures,
-        )
-    else:
-        print(
-            "regression gate [scale parallel sweep vs serial]: skipped "
-            f"({cpus} CPUs, {workers} workers; needs >= "
-            f"{PARALLEL_GATE_MIN_CPUS} CPUs)"
-        )
     # Absolute wall-clock bound, but relative to the committed baseline
     # (which itself records a single-digit-second sweep) so slow CI
     # machines get 3x headroom before this trips.  Only comparable when
@@ -580,14 +537,6 @@ def main(argv=None) -> int:
         "--output", default=None, help="result JSON path"
     )
     parser.add_argument(
-        "--workers",
-        "--parallel",
-        dest="workers",
-        type=int,
-        default=None,
-        help="workers for the parallel sweep (default: cpu_count - 1)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="fail on >2x regression vs committed baseline "
@@ -596,14 +545,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workers = args.workers or default_parallelism()
     if args.scale:
-        results = run_scale_benchmarks(
-            args.n_ases, workers, topology=args.topology
-        )
+        results = run_scale_benchmarks(args.n_ases, topology=args.topology)
         output = args.output or "BENCH_propagation_scale.json"
     else:
-        results = run_benchmarks(args.quick, workers)
+        results = run_benchmarks(args.quick)
         output = args.output or "BENCH_propagation.json"
     Path(output).write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))

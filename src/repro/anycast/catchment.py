@@ -235,11 +235,11 @@ class CatchmentMap:
         use_cache: bool = True,
     ) -> List["CatchmentMap"]:
         """Map ``population`` under a batch of steering states in **one**
-        batched ``propagate_many`` sweep — the engine partitions the
-        batch into affinity chains and converges them through its delta
-        regimes (in parallel with ``parallel=N``)."""
+        batched ``propagate_many`` sweep — the engine orders the batch by
+        delta affinity and converges it through its delta regimes.
+        ``parallel`` is ignored; benchmarks/e2e/anycast.py still passes it."""
         outcomes = service.engine.propagate_many(
-            announcements, parallel=parallel, use_cache=use_cache
+            announcements, use_cache=use_cache
         )
         return [
             cls.from_outcome(service, population, outcome)

@@ -27,11 +27,10 @@ is cheap *by construction*:
   ``churn_weight`` — an engineer that thrashes clients between sites to
   shave a point of imbalance is worse than one that converges calmly.
 
-Determinism: candidate generation is fully ordered, the only randomness
-is a seeded shuffle used for tie-breaking equal scores, and the engine's
-parallel sweeps are route-identical to serial ones — so a rebalance run
-is byte-identical across reruns and across ``parallel`` settings (the
-property the bench gates).
+Determinism: candidate generation is fully ordered and the only
+randomness is a seeded shuffle used for tie-breaking equal scores, so a
+rebalance run is byte-identical across reruns (the property the bench
+gates).
 """
 
 from __future__ import annotations
@@ -63,8 +62,7 @@ class EngineerConfig:
 
     ``tolerance`` is the per-run stopping imbalance (total variation);
     ``epsilon`` the minimum score improvement a move must buy;
-    ``parallel`` fans both the screening ladders and the exact
-    candidate sweep over engine workers."""
+    ``parallel`` is ignored (benchmarks/e2e/anycast.py still sets it)."""
 
     max_iterations: int = 8
     max_prepend: int = 5
@@ -155,11 +153,11 @@ class RebalanceReport:
 
     def to_json(self) -> str:
         """Canonical serialized report: byte-identical across reruns
-        under a fixed seed and across ``parallel`` settings.  Per-regime
-        engine accounting (``delta_regimes``) is execution state — it
-        varies with cache warmth and worker partitioning while the
-        *decisions* don't — so it stays out of the canonical form (read
-        it from :attr:`iterations` / :meth:`IterationRecord.to_dict`)."""
+        under a fixed seed.  Per-regime engine accounting
+        (``delta_regimes``) is execution state — it varies with cache
+        warmth while the *decisions* don't — so it stays out of the
+        canonical form (read it from :attr:`iterations` /
+        :meth:`IterationRecord.to_dict`)."""
         iterations = []
         for r in self.iterations:
             record = r.to_dict()
@@ -268,7 +266,7 @@ class TrafficEngineer:
             overrides = [{m.site: m.steering} for m in moves]
             announcements = [service.announcement(o) for o in overrides]
             cand_maps = CatchmentMap.compute_many(
-                service, self.population, announcements, parallel=cfg.parallel
+                service, self.population, announcements
             )
             scored = [self._score(cand, current) for cand in cand_maps]
             # Deterministic seeded tie-break: shuffle the candidate order,
@@ -450,9 +448,7 @@ class TrafficEngineer:
         others = [n for n in service.active_site_names() if n != name]
         ladder = [service.solo_announcement(name, prepend=d) for d in depths]
         solos = [service.solo_announcement(n) for n in others]
-        outcomes = service.engine.propagate_many(
-            ladder + solos, parallel=cfg.parallel, use_cache=False
-        )
+        outcomes = service.engine.propagate_many(ladder + solos, use_cache=False)
         total = self.population.total_clients
         best_depth: Optional[int] = None
         best_imbalance: Optional[float] = None

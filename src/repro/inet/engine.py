@@ -8,7 +8,7 @@ re-derives everything per call: it materializes a full AS-path tuple per
 reached AS and pays per-call set copies on every adjacency access.
 
 :class:`PropagationEngine` instead **compiles** the :class:`ASGraph` once
-into int-indexed, pre-sorted CSR-style adjacency arrays (invalidated by
+into int-indexed, pre-sorted per-node neighbor tuples (invalidated by
 the graph's version counter) and converges over a **parent-pointer route
 table**: per AS an ``(kind, via, root-spec, pathlen)`` record.  AS paths
 are reconstructed lazily on demand, so no path tuples are copied during
@@ -39,9 +39,9 @@ On top sit an LRU result cache keyed by ``(graph version, canonical
 announcement, security fingerprint)``, two delta regimes that answer a
 changed announcement from the previous route table without converging
 (noop, shift — see :meth:`PropagationEngine.propagate_delta`), and
-:meth:`PropagationEngine.propagate_many`, which fans a sweep out over a
-``multiprocessing`` pool, shipping the compiled topology once per worker
-and compact route tables back.
+:meth:`PropagationEngine.propagate_many`, which orders a sweep's cache
+misses by delta affinity and chains them through those regimes in one
+process.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator, List, Mapping,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Mapping,
     Optional, Sequence, Set, Tuple,
 )
 
@@ -95,18 +95,15 @@ _UNBLOCK = bytes(range(_BLOCKED)) + bytes(256 - _BLOCKED)
 
 
 class CompiledTopology:
-    """An :class:`ASGraph` frozen into int-indexed adjacency arrays.
+    """An :class:`ASGraph` frozen into int-indexed adjacency tuples.
 
     ASes are renumbered ``0..n-1`` in ascending-ASN order (so comparing
-    indices is comparing ASNs), and each relation is stored CSR-style as
-    one flat neighbor array plus per-node offsets.  Per-node tuples are
-    derived once for the hot loops; the CSR arrays are also the compact
-    pickle form shipped to pool workers.
+    indices is comparing ASNs), and each relation is one tuple of
+    neighbor indices per node, in ascending order, for the hot loops.
     """
 
     __slots__ = (
         "version", "n", "asns", "idx",
-        "prov_off", "prov_adj", "cust_off", "cust_adj", "peer_off", "peer_adj",
         "providers", "customers", "peers", "peer_nodes", "cust_nodes",
     )
 
@@ -114,55 +111,28 @@ class CompiledTopology:
         self.version = graph.version
         asns = sorted(graph.asns())
         self.asns: List[int] = asns
-        self.n = len(asns)
+        n = self.n = len(asns)
         idx = {asn: i for i, asn in enumerate(asns)}
         self.idx: Dict[int, int] = idx
 
-        def build(sorted_of: Callable[[int], Tuple[int, ...]]) -> Tuple[array, array]:
+        def views(sorted_of: Callable[[int], Tuple[int, ...]]) -> List[Tuple[int, ...]]:
             adj = array("l")
             off = array("l", [0])
             for asn in asns:
                 # sorted-by-ASN neighbors map to sorted indices (monotone).
                 adj.extend(idx[nbr] for nbr in sorted_of(asn))
                 off.append(len(adj))
-            return off, adj
-
-        self.prov_off, self.prov_adj = build(graph.sorted_providers)
-        self.cust_off, self.cust_adj = build(graph.sorted_customers)
-        self.peer_off, self.peer_adj = build(graph.sorted_peers)
-        self._derive_views()
-
-    def _derive_views(self) -> None:
-        def views(off: array, adj: array) -> List[Tuple[int, ...]]:
+            # tolist() gives fresh, adjacent ints; reusing idx's slows _converge ~15 %.
             lst = adj.tolist()
-            return [tuple(lst[off[i]:off[i + 1]]) for i in range(self.n)]
+            return [tuple(lst[off[i]:off[i + 1]]) for i in range(n)]
 
-        self.providers = views(self.prov_off, self.prov_adj)
-        self.customers = views(self.cust_off, self.cust_adj)
-        self.peers = views(self.peer_off, self.peer_adj)
+        self.providers = views(graph.sorted_providers)
+        self.customers = views(graph.sorted_customers)
+        self.peers = views(graph.sorted_peers)
         # Ascending index lists of nodes that have peer / customer edges,
         # so phases 2 and 3 skip the (usually large) pure-stub remainder.
         self.peer_nodes = tuple(i for i, p in enumerate(self.peers) if p)
         self.cust_nodes = tuple(i for i, c in enumerate(self.customers) if c)
-
-    # -- pickling (pool workers get the CSR arrays, not the tuple views) ------
-
-    def __getstate__(self) -> Tuple:
-        return (
-            self.version, self.asns,
-            self.prov_off, self.prov_adj,
-            self.cust_off, self.cust_adj,
-            self.peer_off, self.peer_adj,
-        )
-
-    def __setstate__(self, state: Tuple) -> None:
-        (self.version, self.asns,
-         self.prov_off, self.prov_adj,
-         self.cust_off, self.cust_adj,
-         self.peer_off, self.peer_adj) = state
-        self.n = len(self.asns)
-        self.idx = {asn: i for i, asn in enumerate(self.asns)}
-        self._derive_views()
 
 
 def canonical_key(announcement: Announcement) -> Tuple:
@@ -194,8 +164,8 @@ def _affinity_key(announcement: Announcement) -> Tuple:
 
     Two announcements with equal affinity keys differ only in prepend
     engineering, so consecutive sweep points within one affinity group
-    classify as shift (or noop) deltas — the cheapest regimes.  Sweep
-    chains are ordered by this key so workers see whole groups."""
+    classify as shift (or noop) deltas — the cheapest regimes.  Sweeps
+    converge their misses grouped by this key."""
     return tuple(
         (
             spec.asn,
@@ -208,29 +178,18 @@ def _affinity_key(announcement: Announcement) -> Tuple:
     )
 
 
-def _partition_chains(
-    keys: Sequence[Tuple], workers: int
-) -> List[List[int]]:
-    """Deal affinity groups onto ``workers`` delta chains.
+def _affinity_order(keys: Sequence[Tuple]) -> List[int]:
+    """The order a sweep converges its misses in.
 
     ``keys[pos]`` is the affinity key (plus security fingerprint) of
-    miss ``pos``.  Groups are kept whole — splitting one would turn
-    in-group shift deltas into cross-worker full converges — and
-    assigned greedily, largest group to the least-loaded worker, so the
-    chains stay balanced even when group sizes are skewed.  Group
-    discovery order and the stable sort keep the result deterministic.
-    Returns non-empty chains of positions (input order within a group)."""
+    miss ``pos``.  Positions come grouped by key, so each group chains
+    through shift/noop deltas; groups run largest first, ties in
+    first-seen order, and positions keep input order within a group."""
     groups: Dict[Tuple, List[int]] = {}
     for pos, key in enumerate(keys):
         groups.setdefault(key, []).append(pos)
     ordered = sorted(groups.values(), key=len, reverse=True)
-    chains: List[List[int]] = [[] for _ in range(max(1, workers))]
-    loads = [0] * len(chains)
-    for grp in ordered:
-        w = loads.index(min(loads))
-        chains[w].extend(grp)
-        loads[w] += len(grp)
-    return [c for c in chains if c]
+    return [pos for group in ordered for pos in group]
 
 
 def _compile_specs(
@@ -787,83 +746,6 @@ def _delta_regime(
     return "fallback", 0
 
 
-# -- multiprocessing worker plumbing ------------------------------------------
-# The compiled topology (and any compiled security masks, deduped) are
-# shipped once per worker via the pool initializer; tasks then carry
-# whole *chains* of (tiny) canonical spec blobs ordered for delta
-# affinity, and results carry one compact entry per chain point: either
-# a route table or a reference to an earlier table plus a pending plen
-# shift.  Workers pick regimes exactly like the serial sweep path, so
-# the 10x delta-chaining win survives the fan-out.
-
-_WORKER_TOPOLOGY: Optional[CompiledTopology] = None
-_WORKER_SECURITIES: Tuple["CompiledSecurity", ...] = ()
-
-# Chain-result entries: ("table", kind, via, root, plen) ships a full
-# route table; ("shift", base_pos, pending) references the table entry
-# at base_pos in the same chain, sharing all four arrays with a pending
-# uniform plen shift (0 for a pure noop).  The two shapes differ in
-# arity, so the alias is a variadic tuple dispatched on entry[0].
-ChainEntryT = Tuple[Any, ...]
-ChainBlobT = Tuple[Tuple[int, Tuple[int, ...], Optional[Tuple[int, ...]]], ...]
-ChainResultT = Tuple[List[ChainEntryT], Dict[str, int], int]
-
-
-def _pool_init(
-    compiled: CompiledTopology,
-    securities: Sequence["CompiledSecurity"] = (),
-) -> None:
-    global _WORKER_TOPOLOGY, _WORKER_SECURITIES
-    _WORKER_TOPOLOGY = compiled
-    _WORKER_SECURITIES = tuple(securities)
-
-
-def _pool_run_chain(chain: Sequence[Tuple[ChainBlobT, int]]) -> ChainResultT:
-    """Converge one delta-affinity chain of (spec_blob, sec_slot) items.
-
-    Mirrors the serial sweep loop: each point reuses the previous
-    point's route table when the regime allows (noop/shift), and only
-    content changes or security-fingerprint changes pay a converge.
-    Shift points ship no arrays at all — just a reference to the
-    chain's last full table and the accumulated plen offset."""
-    ct = _WORKER_TOPOLOGY
-    assert ct is not None  # set by the pool initializer
-    secs = _WORKER_SECURITIES
-    entries: List[ChainEntryT] = []
-    counts = dict.fromkeys(_DELTA_MODES, 0)
-    saved = 0
-    prev_specs: Optional[Tuple[SpecT, ...]] = None
-    prev_slot = -2  # sec slot of the previous point (-1 = unsecured)
-    pending = 0  # plen shift accumulated since the last shipped table
-    base_pos = -1  # entries index of the table backing shift references
-    for spec_blob, sec_slot in chain:
-        specs = tuple(
-            (ct.idx[asn], epath, frozenset(epath),
-             None if ato is None else frozenset(ato))
-            for asn, epath, ato in spec_blob
-        )
-        sec = None if sec_slot < 0 else secs[sec_slot]
-        mode, shift = _delta_regime(
-            prev_specs if sec_slot == prev_slot else None, specs, sec
-        )
-        counts[mode] += 1
-        if mode in ("noop", "shift"):
-            pending += shift
-            saved += ct.n
-            entries.append(("shift", base_pos, pending))
-        else:
-            kind, via, root, plen = _converge(ct, specs, sec)
-            entries.append((
-                "table", bytes(kind),
-                array("l", via), array("l", root), array("l", plen),
-            ))
-            base_pos = len(entries) - 1
-            pending = 0
-        prev_specs = specs
-        prev_slot = sec_slot
-    return entries, counts, saved
-
-
 class PropagationEngine:
     """Compiled, cached, batched route propagation over one ``ASGraph``.
 
@@ -907,24 +789,6 @@ class PropagationEngine:
             "peering_propagation_delta_saved_total",
             "AS slots reused from the previous route table by delta runs",
         ).labels()
-        # Parallel-sweep instrumentation: chains dispatched to pool
-        # workers, worker-side regime counts (also folded into the
-        # overall delta counters above), and pool degradations — spawn
-        # (no fork on this platform) or serial (pool creation failed).
-        self._par_chains = self.metrics.counter(
-            "peering_propagation_parallel_chains_total",
-            "Delta chains dispatched to pool workers",
-        ).labels()
-        self._par_delta_runs = self.metrics.counter(
-            "peering_propagation_parallel_delta_runs_total",
-            "Worker-side incremental propagation runs by regime",
-            ("mode",),
-        )
-        self._pool_fallbacks = self.metrics.counter(
-            "peering_propagation_pool_fallbacks_total",
-            "Parallel sweeps degraded to a spawn context or serial runs",
-            ("kind",),
-        )
 
     @property
     def compile_count(self) -> int:
@@ -1071,20 +935,16 @@ class PropagationEngine:
     def propagate_many(
         self,
         announcements: Sequence[Announcement],
-        parallel: Optional[int] = None,
         use_cache: bool = True,
         security: Optional["CompiledSecurity"] = None,
     ) -> List[RoutingOutcome]:
-        """Converge a whole sweep; with ``parallel=N`` fan the cache
-        misses out over N worker processes sharing one compiled topology.
+        """Converge a whole sweep.
 
         Misses are reordered for delta affinity (same steering group —
         and same security fingerprint — adjacent) and chained through
-        incremental reconvergence both serially and inside each pool
-        worker, so a steering sweep pays full converges only at group
-        boundaries.  Secured sweeps compile the policy per announcement
-        (verdicts depend on prefix and origins) and ship the deduped
-        compiled masks to workers alongside the topology.
+        incremental reconvergence, so a steering sweep pays full
+        converges only at group boundaries.  Secured sweeps compile the
+        policy per announcement (verdicts depend on prefix and origins).
         """
         announcements = list(announcements)
         compiled = self.compiled()
@@ -1103,148 +963,20 @@ class PropagationEngine:
             else:
                 miss_idx.append(i)
 
-        if miss_idx:
-            aff = [
-                (_affinity_key(announcements[i]), fps[i]) for i in miss_idx
-            ]
-            workers = 0 if not parallel else min(int(parallel), len(miss_idx))
-            outcomes: Optional[List[CompiledOutcome]] = None
-            if workers > 1:
-                outcomes = self._run_parallel_chains(
-                    compiled,
-                    [announcements[i] for i in miss_idx],
-                    [secs[i] for i in miss_idx],
-                    [fps[i] for i in miss_idx],
-                    _partition_chains(aff, workers),
-                )
-            if outcomes is not None:
-                for pos, outcome in enumerate(outcomes):
-                    i = miss_idx[pos]
-                    results[i] = outcome
-                    if use_cache:
-                        self.cache.put(keys[i], outcome)
-            else:
-                # Serial (or pool-degraded) sweeps chain through delta
-                # propagation in affinity order: every miss reuses the
-                # previous miss's route table where the regime allows.
-                prev: Optional[RoutingOutcome] = None
-                [chain] = _partition_chains(aff, 1)
-                for pos in chain:
-                    i = miss_idx[pos]
-                    outcome = self._run_delta(
-                        compiled, announcements[i], prev, secs[i], chained=True
-                    )
-                    results[i] = outcome
-                    if use_cache:
-                        self.cache.put(keys[i], outcome)
-                    prev = outcome
+        # Every miss reuses the previous miss's route table where the
+        # regime allows.
+        aff = [(_affinity_key(announcements[i]), fps[i]) for i in miss_idx]
+        prev: Optional[RoutingOutcome] = None
+        for pos in _affinity_order(aff):
+            i = miss_idx[pos]
+            outcome = self._run_delta(
+                compiled, announcements[i], prev, secs[i], chained=True
+            )
+            results[i] = outcome
+            if use_cache:
+                self.cache.put(keys[i], outcome)
+            prev = outcome
         return results  # type: ignore[return-value]
-
-    def _run_parallel_chains(
-        self,
-        compiled: CompiledTopology,
-        announcements: Sequence[Announcement],
-        secs: Sequence[Optional["CompiledSecurity"]],
-        fps: Sequence[Optional[Tuple]],
-        chains: List[List[int]],
-    ) -> Optional[List[CompiledOutcome]]:
-        """Run delta chains in a worker pool; None = degrade to serial.
-
-        Ships the compiled topology plus the *unique* compiled-security
-        objects once per worker; each task is one chain of canonical
-        spec blobs with a slot index into that security table.  Workers
-        return one compact entry per point (a table, or a reference to
-        an earlier in-chain table plus a pending plen shift) and their
-        per-regime counts, which fold into the engine's delta metrics."""
-        import multiprocessing
-
-        all_specs: List[Tuple[SpecT, ...]] = []
-        blobs: List[Tuple] = []
-        for announcement in announcements:
-            specs = _compile_specs(compiled, announcement)  # validates origins
-            all_specs.append(specs)
-            blobs.append(
-                tuple(
-                    (spec.asn, spec.export_path(), spec.announce_to)
-                    for spec in announcement.origins
-                )
-            )
-        # Dedupe shipped securities: (fingerprint, drop-sets) pins the
-        # converge-relevant state, so sweeps under one policy ship each
-        # distinct mask table once instead of once per announcement.
-        sec_objs: List["CompiledSecurity"] = []
-        slot_of: Dict[Tuple, int] = {}
-        slots: List[int] = []
-        for sec in secs:
-            if sec is None:
-                slots.append(-1)
-                continue
-            skey = (
-                sec.fingerprint,
-                tuple(sorted(
-                    (o, tuple(sorted(d))) for o, d in sec.drops.items()
-                )),
-            )
-            slot = slot_of.get(skey)
-            if slot is None:
-                slot = len(sec_objs)
-                sec_objs.append(sec)
-                slot_of[skey] = slot
-            slots.append(slot)
-        payloads = [
-            [(blobs[pos], slots[pos]) for pos in chain] for chain in chains
-        ]
-        ctx: multiprocessing.context.BaseContext
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: pickle the topology
-            ctx = multiprocessing.get_context("spawn")
-            self._pool_fallbacks.labels("spawn").inc()
-        try:
-            with ctx.Pool(
-                processes=len(payloads),
-                initializer=_pool_init,
-                initargs=(compiled, sec_objs),
-            ) as pool:
-                raw = pool.map(_pool_run_chain, payloads)
-        except (OSError, PermissionError):
-            # Sandboxed/locked-down hosts without working semaphores:
-            # degrade to serial delta chaining rather than failing.
-            self._pool_fallbacks.labels("serial").inc()
-            return None
-        outcomes: List[Optional[CompiledOutcome]] = [None] * len(announcements)
-        for chain, (entries, counts, saved) in zip(chains, raw):
-            chain_outcomes: List[CompiledOutcome] = []
-            for pos, entry in zip(chain, entries):
-                specs = all_specs[pos]
-                if entry[0] == "table":
-                    _tag, kind_b, via_a, root_a, plen_a = entry
-                    table = (
-                        bytearray(kind_b), via_a.tolist(),
-                        root_a.tolist(), plen_a.tolist(),
-                    )
-                    outcome = CompiledOutcome(
-                        self.graph, compiled, table, specs, fps[pos]
-                    )
-                else:
-                    _tag2, base_pos, pending = entry
-                    base = chain_outcomes[base_pos]
-                    outcome = CompiledOutcome(
-                        self.graph, compiled,
-                        (base._kind, base._via, base._root, base._plen),
-                        specs, fps[pos], pending,
-                    )
-                chain_outcomes.append(outcome)
-                outcomes[pos] = outcome
-            for mode, count in counts.items():
-                if count:
-                    self._delta_runs.labels(mode).inc(count)
-                    self._par_delta_runs.labels(mode).inc(count)
-            self._delta_saved.inc(float(saved))
-            # noops return the prior table and are not "runs" serially
-            self._runs.inc(sum(counts.values()) - counts["noop"])
-            self._par_chains.inc()
-        return outcomes  # type: ignore[return-value]
 
     # -- reporting ------------------------------------------------------------
 
@@ -1260,20 +992,11 @@ class PropagationEngine:
                 for mode in _DELTA_MODES
             },
             "delta_saved_slots": int(self._delta_saved.value),
-            "parallel": {
-                "chains": int(self._par_chains.value),
-                "delta": {
-                    mode: int(self._par_delta_runs.labels(mode).value)
-                    for mode in _DELTA_MODES
-                },
-                "pool_fallbacks": {
-                    kind: int(self._pool_fallbacks.labels(kind).value)
-                    for kind in ("spawn", "serial")
-                },
-            },
+            # Constant; benchmarks/e2e/harness.py::engine_counters reads both keys.
+            "parallel": {"chains": 0, "pool_fallbacks": {}},
         }
 
 
 def default_parallelism() -> int:
-    """Worker count for sweep fan-out (leave one CPU for the driver)."""
+    """CPUs less one; only benchmarks/e2e/cli.py and e2e/anycast.py read it."""
     return max(1, (os.cpu_count() or 1) - 1)

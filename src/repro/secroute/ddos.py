@@ -44,7 +44,6 @@ deterministic timeline.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,6 +59,7 @@ from ..net.packet import Packet
 from ..sim.engine import Engine
 from ..telemetry.metrics import MetricsRegistry
 from ..workloads.traffic import attack_flows, client_population, zipf_attack_sources
+from .campaign import _deployers
 from .flowspec import (
     FlowSpecAction,
     FlowSpecDistributor,
@@ -245,10 +245,6 @@ def _attack_rules(
             action=FlowSpecAction.discard(),
         ),
     }
-
-
-def _deployers(population: Sequence[int], rate: float) -> Sequence[int]:
-    return population[: math.ceil(rate * len(population))]
 
 
 def _run_wave(

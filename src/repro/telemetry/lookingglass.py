@@ -84,10 +84,8 @@ class LookingGlass:
     def propagation_savings(self) -> Dict[str, object]:
         """How much work incremental convergence saved: delta runs by
         regime (noop/shift vs fallback/full), the fraction answered
-        without converging, the total AS slots reused from previous route
-        tables instead of recomputed, and — for parallel sweeps — the
-        worker-chain counts, per-regime splits inside the pool, and any
-        pool degradations (fork→spawn, pool→serial)."""
+        without converging, and the total AS slots reused from previous
+        route tables instead of recomputed."""
         stats = self.testbed.propagation.stats()
         delta_obj = stats.get("delta")
         delta: Dict[str, int] = (
@@ -97,33 +95,10 @@ class LookingGlass:
         saved_obj = stats.get("delta_saved_slots", 0)
         incremental = delta.get("noop", 0) + delta.get("shift", 0)
         total = sum(delta.values())
-        par_obj = stats.get("parallel")
-        parallel: Dict[str, object] = {}
-        if isinstance(par_obj, dict):
-            par_delta_obj = par_obj.get("delta")
-            par_delta: Dict[str, int] = (
-                {str(k): int(v) for k, v in par_delta_obj.items()}
-                if isinstance(par_delta_obj, dict) else {}
-            )
-            par_incremental = par_delta.get("noop", 0) + par_delta.get("shift", 0)
-            par_total = sum(par_delta.values())
-            fallbacks = par_obj.get("pool_fallbacks")
-            parallel = {
-                "chains": int(par_obj.get("chains", 0) or 0),
-                "delta_runs": par_delta,
-                "incremental_fraction": (
-                    (par_incremental / par_total) if par_total else 0.0
-                ),
-                "pool_fallbacks": (
-                    {str(k): int(v) for k, v in fallbacks.items()}
-                    if isinstance(fallbacks, dict) else {}
-                ),
-            }
         return {
             "delta_runs": delta,
             "incremental_fraction": (incremental / total) if total else 0.0,
             "slots_reused": int(saved_obj) if isinstance(saved_obj, int) else 0,
-            "parallel": parallel,
         }
 
     def route(self, prefix: Prefix, vantage: int) -> Optional["ASRoute"]:

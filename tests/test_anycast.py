@@ -257,9 +257,7 @@ class TestCatchmentMap:
             )
             for d in range(3)
         ]
-        batched = CatchmentMap.compute_many(
-            service, population, anns, parallel=2
-        )
+        batched = CatchmentMap.compute_many(service, population, anns)
         for ann, cmap in zip(anns, batched):
             solo = CatchmentMap.from_outcome(
                 service, population, service.engine.propagate(ann)
@@ -629,20 +627,6 @@ class TestTrafficEngineer:
             engineer = TrafficEngineer(
                 service, population, self.targets_for(service),
                 EngineerConfig(max_iterations=3, seed=11),
-            )
-            reports.append(engineer.rebalance().to_json())
-        assert reports[0] == reports[1]
-
-    def test_serial_and_parallel_agree(self):
-        # Decisions (moves, scores, shares) are parallel-invariant, and
-        # the canonical report excludes execution accounting — so the
-        # serialized reports match byte-for-byte.
-        reports = []
-        for workers in (1, 2):
-            _, service, population = make_world()
-            engineer = TrafficEngineer(
-                service, population, self.targets_for(service),
-                EngineerConfig(max_iterations=3, seed=11, parallel=workers),
             )
             reports.append(engineer.rebalance().to_json())
         assert reports[0] == reports[1]

@@ -12,17 +12,19 @@ structure level.
 """
 
 import random
+import types
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.inet.engine import OutcomeCache, PropagationEngine
+from repro.inet.engine import OutcomeCache, PropagationEngine, _affinity_order
 from repro.inet.gen import InternetConfig, build_internet
 from repro.inet.routing import Announcement, OriginSpec, propagate
 from repro.inet.topology import ASGraph, ASNode
 from repro.net.addr import Prefix
 from repro.secroute import Roa, RoaRegistry, RovMode, SecurityPolicy
+from repro.telemetry.lookingglass import LookingGlass
 
 V20 = Prefix("198.18.0.0/20")
 
@@ -153,6 +155,65 @@ def test_property_delta_chain_matches_reference_secured(seed):
         )
         assert_same_routes(reference, prev)
         announcement = mutate_announcement(announcement, graph, rng)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_secured_sweep_matches_reference(seed):
+    """A secured ``propagate_many`` sweep under active ROV + Peerlock:
+    every point of the affinity-ordered delta chain is route-for-route
+    identical to the reference propagation under the compiled policy."""
+    rng = random.Random(seed)
+    graph = build_internet(InternetConfig(n_ases=60, seed=seed)).graph
+    asns = sorted(graph.asns())
+    victim = rng.choice(asns)
+    attacker = rng.choice([a for a in asns if a != victim])
+    policy = SecurityPolicy(roas=RoaRegistry((Roa(V20, victim),)))
+    policy.deploy_rov(
+        rng.sample(asns, rng.randint(2, len(asns) // 2)),
+        rng.choice([RovMode.DROP_INVALID, RovMode.DEPREFER_INVALID]),
+    )
+    clique = sorted(graph.tier1_clique())
+    if clique:
+        policy.lock_clique(clique)
+    sweep = []
+    for p in range(4):
+        sweep.append(
+            Announcement(
+                origins=(
+                    OriginSpec(asn=victim, prepend=p),
+                    OriginSpec(asn=attacker),
+                ),
+                prefix=V20,
+            )
+        )
+        sweep.append(Announcement.single(attacker, prepend=p, prefix=V20))
+    engine = PropagationEngine(graph)
+    outcomes = engine.propagate_many(sweep, use_cache=False, security=policy)
+    for announcement, outcome in zip(sweep, outcomes):
+        reference = propagate(
+            graph, announcement, security=policy.compile_for(announcement)
+        )
+        assert_same_routes(reference, outcome)
+    assert sum(engine.stats()["delta"].values()) == len(sweep)
+
+
+class TestAffinityOrder:
+    def test_groups_by_key(self):
+        keys = ["a", "b", "a", "b", "a"]
+        assert _affinity_order(keys) == [0, 2, 4, 1, 3]
+
+    def test_larger_groups_first(self):
+        keys = ["a", "b", "b", "c", "c", "c"]
+        assert _affinity_order(keys) == [3, 4, 5, 1, 2, 0]
+
+    def test_equal_groups_keep_first_seen_order(self):
+        keys = ["y", "x", "y", "x", "z"]
+        assert _affinity_order(keys) == [0, 2, 1, 3, 4]
+
+    def test_deterministic(self):
+        keys = [("k", i % 3) for i in range(20)]
+        assert _affinity_order(keys) == _affinity_order(keys)
 
 
 class TestDeltaRegimes:
@@ -356,20 +417,57 @@ class TestDeltaRegimes:
         automatically: a prepend sweep is all shifts after the first."""
         engine = PropagationEngine(hierarchy)
         sweep = [Announcement.single(7, prepend=p) for p in range(6)]
-        outcomes = engine.propagate_many(sweep, parallel=False)
+        outcomes = engine.propagate_many(sweep)
         modes = engine.stats()["delta"]
         assert modes["shift"] == 5
         for announcement, outcome in zip(sweep, outcomes):
             assert_same_routes(propagate(hierarchy, announcement), outcome)
 
+    def test_sweep_groups_interleaved_steering(self):
+        """Two origins' prepend sweeps, interleaved: the sweep regroups
+        them, so each group converges once and shifts the rest."""
+        graph = build_internet(InternetConfig(n_ases=80, seed=11)).graph
+        a, b = sorted(graph.asns())[-2:]
+        sweep = [
+            Announcement.single(origin, prepend=p)
+            for p in range(6) for origin in (a, b)
+        ]
+        engine = PropagationEngine(graph)
+        outcomes = engine.propagate_many(sweep, use_cache=False)
+        for announcement, outcome in zip(sweep, outcomes):
+            assert_same_routes(propagate(graph, announcement), outcome)
+        modes = engine.stats()["delta"]
+        assert (modes["full"], modes["fallback"], modes["shift"]) == (1, 1, 10)
+
+    def test_looking_glass_surfaces_sweep_savings(self):
+        """The looking glass reports a prepend sweep's delta regimes, the
+        share answered without converging and the AS slots reused."""
+        graph = build_internet(InternetConfig(n_ases=60, seed=5)).graph
+        origin = sorted(graph.asns())[-1]
+        engine = PropagationEngine(graph)
+        engine.propagate_many(
+            [Announcement.single(origin, prepend=p) for p in range(8)],
+            use_cache=False,
+        )
+        modes = engine.stats()["delta"]
+        assert (modes["full"], modes["shift"]) == (1, 7)
+        glass = LookingGlass(types.SimpleNamespace(propagation=engine))
+        savings = glass.propagation_savings()
+        assert savings["delta_runs"] == modes
+        assert savings["incremental_fraction"] == 7 / 8
+        assert savings["slots_reused"] == 7 * len(graph)
+
     def test_stats_keep_all_five_regime_keys(self, hierarchy):
         # benchmarks/e2e/harness.py::engine_counters indexes
         # stats()["delta"]["cone"] for BENCHMARK.json's
-        # inet.engine.converge.delta_cone, so the key outlives the regime
-        # (reading 0) until a [benchmark] PR drops that metric.
+        # inet.engine.converge.delta_cone, and stats()["parallel"] for
+        # pool_chains / pool_fallbacks, so the keys outlive the regime and
+        # the pool (reading 0) until a [benchmark] PR drops those metrics.
         stats = PropagationEngine(hierarchy).stats()
         keys = {"noop", "shift", "cone", "fallback", "full"}
-        assert set(stats["delta"]) == set(stats["parallel"]["delta"]) == keys
+        assert set(stats["delta"]) == keys
+        assert stats["parallel"]["chains"] == 0
+        assert sum(stats["parallel"]["pool_fallbacks"].values()) == 0
 
     def test_delta_saved_slots_reported(self, hierarchy):
         engine = PropagationEngine(hierarchy)

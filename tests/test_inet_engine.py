@@ -1,5 +1,5 @@
 """Compiled propagation engine: equivalence with the reference, caching,
-compilation invalidation, and batched/parallel sweeps.
+compilation invalidation, and batched sweeps.
 
 The load-bearing guarantee is *route-for-route identity* with
 :func:`repro.inet.routing.propagate` across every steering primitive the
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.inet.engine import (
-    CompiledOutcome,
     CompiledTopology,
     OutcomeCache,
     PropagationEngine,
@@ -213,7 +212,7 @@ def tie_rule_announcements(graph, rng):
 @pytest.mark.parametrize("seed", range(10))
 def test_multi_spec_tie_rules_match_reference(seed):
     """The multi-spec kernel against the reference oracle on announcements
-    built to hit each tie rule, in process and through pool workers."""
+    built to hit each tie rule, one at a time and as one sweep."""
     rng = random.Random(seed)
     graph = build_internet(
         InternetConfig(n_ases=rng.choice([40, 70, 100]), seed=seed)
@@ -226,11 +225,9 @@ def test_multi_spec_tie_rules_match_reference(seed):
     for rule, announcement in cases.items():
         compiled = engine.propagate(announcement, use_cache=False)
         assert dict(compiled.items()) == references[rule], rule
-    pooled = engine.propagate_many(
-        list(cases.values()), parallel=2, use_cache=False
-    )
-    for rule, outcome in zip(cases, pooled):
-        assert dict(outcome.items()) == references[rule], f"{rule} (pool)"
+    batched = engine.propagate_many(list(cases.values()), use_cache=False)
+    for rule, outcome in zip(cases, batched):
+        assert dict(outcome.items()) == references[rule], f"{rule} (batch)"
 
 
 @settings(max_examples=15, deadline=None)
@@ -322,17 +319,16 @@ class TestCompilation:
         assert g.sorted_providers(5) == (3, 9)
         assert g.neighbors(9) == frozenset({5})
 
-    def test_compiled_topology_roundtrips_through_pickle(self):
-        import pickle
-
-        g = graph_from_edges(c2p=[(5, 3), (3, 1)], p2p=[(3, 4)])
+    def test_compiled_views_hold_sorted_neighbor_indices(self):
+        g = graph_from_edges(c2p=[(5, 3), (5, 1), (3, 1)], p2p=[(3, 4)])
         ct = CompiledTopology(g)
-        clone = pickle.loads(pickle.dumps(ct))
-        assert clone.asns == ct.asns
-        assert clone.providers == ct.providers
-        assert clone.customers == ct.customers
-        assert clone.peers == ct.peers
-        assert clone.peer_nodes == ct.peer_nodes
+        assert ct.asns == [1, 3, 4, 5] and ct.n == 4
+        i1, i3, i4, i5 = (ct.idx[a] for a in (1, 3, 4, 5))
+        assert ct.providers[i5] == (i1, i3)
+        assert ct.customers[i1] == (i3, i5)
+        assert ct.peers[i3] == (i4,) and ct.peers[i4] == (i3,)
+        assert ct.peer_nodes == (i3, i4)
+        assert ct.cust_nodes == (i1, i3)
 
 
 class TestResultCache:
@@ -408,20 +404,6 @@ class TestSweeps:
         assert engine.cache.hits >= len(anns)
         for announcement, outcome in zip(anns, again):
             assert outcome is engine.propagate(announcement)
-
-    def test_propagate_many_parallel_matches_serial(self, world):
-        graph, anns = world
-        engine = PropagationEngine(graph)
-        serial = engine.propagate_many(anns, use_cache=False)
-        parallel = engine.propagate_many(anns, parallel=2, use_cache=False)
-        for a, b in zip(serial, parallel):
-            assert dict(a.items()) == dict(b.items())
-
-    def test_parallel_outcomes_are_compiled(self, world):
-        graph, anns = world
-        engine = PropagationEngine(graph)
-        for outcome in engine.propagate_many(anns[:3], parallel=2, use_cache=False):
-            assert isinstance(outcome, CompiledOutcome)
 
 
 class TestCompiledOutcomeSurface:
