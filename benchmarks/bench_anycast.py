@@ -1,8 +1,7 @@
 """Benchmark: population-scale anycast catchment mapping + the closed-loop
 traffic engineer.
 
-Standalone script (no pytest-benchmark dependency) so CI can run it as a
-smoke step and gate on regressions:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_anycast.py \\
         --output BENCH_anycast.json --check
@@ -37,12 +36,10 @@ The full run deploys a three-site anycast service onto a CAIDA-calibrated
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import time
 from pathlib import Path
 
+from gates import clocked, main
 from repro.anycast import (
     AnycastService,
     AnycastSite,
@@ -111,9 +108,7 @@ def bench_mapping(service, population):
     ]
     # Warm the compile (excluded: one-time cost, not mapping throughput).
     service.engine.propagate(variants[0])
-    start = time.perf_counter()
-    maps = CatchmentMap.compute_many(service, population, variants)
-    elapsed = time.perf_counter() - start
+    maps, elapsed = clocked(CatchmentMap.compute_many, service, population, variants)
     clients_mapped = population.total_clients * len(maps)
     assert all(
         sum(m.volume_by_site.values()) + m.unserved_volume
@@ -145,10 +140,7 @@ def run_engineer(service, population):
         targets,
         EngineerConfig(max_iterations=6, seed=ENGINEER_SEED),
     )
-    start = time.perf_counter()
-    report = engineer.rebalance()
-    elapsed = time.perf_counter() - start
-    return report, elapsed
+    return clocked(engineer.rebalance)
 
 
 def bench_engineer(quick: bool, first_report):
@@ -170,9 +162,7 @@ def bench_engineer(quick: bool, first_report):
 
 
 def run_benchmarks(quick: bool):
-    build_start = time.perf_counter()
-    graph, service, population = build_world(quick)
-    build_s = time.perf_counter() - build_start
+    (graph, service, population), build_s = clocked(build_world, quick)
     mapping = bench_mapping(service, population)
     # The engineer starts from default steering: rebuild the service's
     # steering state is unnecessary (bench_mapping never mutates it).
@@ -191,75 +181,35 @@ def run_benchmarks(quick: bool):
     }
 
 
-def _gate(label, ok, detail, failures):
-    print(f"regression gate [{label}]: {detail} {'ok' if ok else 'FAIL'}")
-    if not ok:
-        failures.append(label)
-
-
-def check_regression(results, quick: bool = False) -> int:
-    failures: list = []
+def check(results, args, gates):
+    """Fail on regression vs committed baseline (mapping rate) or broken
+    invariants (shift iterations, imbalance, determinism)."""
     engineer = results["engineer"]
-    _gate(
-        "shift iterations",
-        engineer["shift_iterations"] >= SHIFT_ITERATIONS_FLOOR,
-        f"{engineer['shift_iterations']} (floor {SHIFT_ITERATIONS_FLOOR})",
-        failures,
+    gates.floor(
+        "shift iterations", engineer["shift_iterations"], SHIFT_ITERATIONS_FLOOR
     )
-    _gate(
+    gates.hold(
         "imbalance not worsened",
         engineer["imbalance_after"] <= engineer["imbalance_before"] + 1e-9,
         f"{engineer['imbalance_before']} -> {engineer['imbalance_after']}",
-        failures,
     )
-    _gate(
+    gates.hold(
         "deterministic rerun",
         engineer["deterministic"],
         "byte-identical" if engineer["deterministic"] else "reports differ",
-        failures,
     )
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        base_rate = baseline["mapping"]["clients_mapped_per_s"]
+    baseline = gates.baseline(BASELINE)
+    if baseline is not None:
         # Quick runs map a much smaller population, so the per-sweep
         # overhead amortizes worse; give them double headroom.
-        div = 6 if quick else 3
-        rate = results["mapping"]["clients_mapped_per_s"]
-        _gate(
+        div = 6 if args.quick else 3
+        gates.floor(
             "clients mapped/s",
-            rate >= base_rate / div,
-            f"{rate} (floor {round(base_rate / div)})",
-            failures,
+            results["mapping"]["clients_mapped_per_s"],
+            baseline["mapping"]["clients_mapped_per_s"] / div,
         )
-    else:
-        print(f"no baseline at {BASELINE}; skipping throughput gate")
-    if failures:
-        print(f"FAIL: regressed vs gates: {', '.join(failures)}")
-        return 1
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument("--output", default=None, help="result JSON path")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on regression vs committed baseline (mapping rate) "
-        "or broken invariants (shift iterations, imbalance, determinism)",
-    )
-    args = parser.parse_args(argv)
-    results = run_benchmarks(args.quick)
-    output = args.output or "BENCH_anycast.json"
-    Path(output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        return check_regression(results, quick=args.quick)
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    output = "BENCH_anycast.json"
+    raise SystemExit(main(__doc__, lambda args: run_benchmarks(args.quick), check, output))

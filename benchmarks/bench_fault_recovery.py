@@ -1,7 +1,6 @@
 """Benchmark: fault recovery under the supervision layer.
 
-Standalone script (no pytest-benchmark dependency) so CI can run it as a
-smoke step and gate on regressions:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py \\
         --output BENCH_fault_recovery.json --check
@@ -22,21 +21,17 @@ Measures three recovery paths on a seeded testbed:
 baseline (``BENCH_fault_recovery_baseline.json``).  Simulated time is
 machine-independent — the event engine is deterministic — so the gate is
 equality: a figure that moves at all means the order or timing of events
-changed, on any machine.  The baseline is recorded at full size (which
-runs in seconds); checking a ``--quick`` run against it, or checking
-against a baseline file that does not exist, is an error, not a skipped
-check.  The wall-clock restore rate is reported but not gated.
+changed, on any machine.  The baseline is recorded at full size, so a
+``--quick`` run fails the config gate.  The wall-clock restore rate is
+reported but not gated.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
-from bench_propagation import machine_fingerprint
+from gates import clocked, fingerprint, main
 from repro.bgp.session import BGPSession, SessionConfig
 from repro.core import Testbed
 from repro.faults import FaultPlan, Link
@@ -172,9 +167,7 @@ def run_crash_recovery(quick: bool):
     # itself — the replay is synchronous, so this isolates restore cost
     # from watchdog probe cadence.
     server.crash(hard=True)
-    start = time.perf_counter()
-    server.restart()
-    restore_wall = time.perf_counter() - start
+    _, restore_wall = clocked(server.restart)
     assert restored()
 
     return {
@@ -234,7 +227,7 @@ def run_benchmarks(quick: bool):
         "link_flap": run_link_flap(),
         "crash_recovery": run_crash_recovery(quick),
         "containment": run_containment(quick),
-        "machine": machine_fingerprint(),
+        "machine": fingerprint(),
     }
 
 
@@ -248,62 +241,22 @@ GATED = [
 ]
 
 
-def check_regression(results, baseline_path: Path = BASELINE) -> int:
-    if not baseline_path.exists():
-        print(f"FAIL: no baseline at {baseline_path}; nothing was checked")
-        return 1
-    baseline = json.loads(baseline_path.read_text())
-    if baseline["config"] != results["config"]:
-        print(
-            f"FAIL: run config {results['config']} differs from the baseline's "
-            f"{baseline['config']}; nothing was checked"
-        )
-        return 1
-    failures = 0
+def check(results, args, gates):
+    """Fail unless every simulated recovery latency equals the committed
+    baseline's."""
+    baseline = gates.baseline(BASELINE)
+    if baseline is None or not gates.same_config(results, baseline):
+        return
     for section, metric in GATED:
         base = baseline[section][metric]
         now = results[section][metric]
-        same = now == base
-        print(
-            f"determinism gate: {section}.{metric} = {now:g} sim s "
-            f"(baseline {base:g}) {'ok' if same else 'FAIL'}"
+        gates.hold(
+            f"{section}.{metric}", now == base, f"{now:g} sim s (baseline {base:g})"
         )
-        failures += not same
     rate = results["crash_recovery"]["routes_restored_per_s"]
     print(f"info (not gated): journal restore rate {rate:g} routes/s")
-    if failures:
-        print(f"FAIL: {failures} simulated figure(s) differ from the baseline")
-        return 1
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_fault_recovery.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail unless every simulated recovery latency equals the "
-        "committed baseline's",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(args.quick)
-    Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        return check_regression(results)
-    return 0
-
-
-def test_check_fails_without_baseline(tmp_path):
-    assert check_regression({"config": {"quick": False}}, tmp_path / "missing.json") == 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    output = "BENCH_fault_recovery.json"
+    sys.exit(main(__doc__, lambda args: run_benchmarks(args.quick), check, output))

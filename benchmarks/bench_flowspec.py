@@ -1,7 +1,6 @@
 """Benchmark + determinism gate for the FlowSpec DDoS campaign.
 
-Standalone script (no pytest dependency) so CI can run it in the
-``security-scenarios`` job:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_flowspec.py \\
         --output BENCH_flowspec.json --check
@@ -42,14 +41,13 @@ fingerprint of the machine that recorded it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 import time
 from pathlib import Path
 
-from bench_propagation import _gate, machine_fingerprint
+from gates import clocked, fingerprint, main
 from repro.inet.dataplane import DataPlane
 from repro.inet.engine import PropagationEngine
 from repro.inet.gen import InternetConfig, build_internet
@@ -149,13 +147,8 @@ def dataplane_speed(quick: bool):
 def run_benchmarks(quick: bool):
     config = campaign_config(quick)
 
-    start = time.perf_counter()
-    result = run_ddos_campaign(config)
-    first_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    rerun = run_ddos_campaign(config)
-    second_s = time.perf_counter() - start
+    result, first_s = clocked(run_ddos_campaign, config)
+    rerun, second_s = clocked(run_ddos_campaign, config)
 
     print(result.table())
     payload = result.to_dict()
@@ -187,77 +180,40 @@ def run_benchmarks(quick: bool):
             "second_run_s": round(second_s, 3),
         },
         "dataplane": dataplane_speed(quick),
-        "machine": machine_fingerprint(),
+        "machine": fingerprint(),
     }
 
 
-def check_regression(results, quick: bool = False) -> int:
-    failures = []
-    if not results["reruns_identical"]:
-        failures.append("two seeded campaign runs differ (determinism broken)")
+def check(results, args, gates):
+    """Fail on table drift vs committed baseline, broken monotonicity,
+    rule-flood limit violations, or a data-plane rate under its floor."""
+    gates.hold("seeded reruns", results["reruns_identical"], "byte-identical")
     for name, monotone in results["monotone"].items():
-        if not monotone:
-            failures.append(f"{name} absorbed-volume curve is not monotone")
-    if not results["rule_flood_ok"]:
-        failures.append(
-            "rule-flood scenario violated install limits or failed to quarantine"
+        gates.hold(f"{name} monotone", monotone, "absorbed volume vs deployment rate")
+    gates.hold(
+        "rule flood", results["rule_flood_ok"], "install limits held, flooder quarantined"
+    )
+    baseline = gates.baseline(BASELINE)
+    if baseline is None:
+        return
+    if gates.same_config(results, baseline):
+        gates.hold(
+            "campaign tables",
+            all(
+                baseline["campaign"][key] == results["campaign"][key]
+                for key in ("scenarios", "rule_flood")
+            ),
+            "equal to the committed baseline (a drift means FlowSpec semantics changed)",
         )
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        if baseline["config"] != results["config"]:
-            print("baseline config differs; skipping exact-table comparison")
-        elif (
-            baseline["campaign"]["scenarios"] != results["campaign"]["scenarios"]
-            or baseline["campaign"]["rule_flood"] != results["campaign"]["rule_flood"]
-        ):
-            failures.append(
-                "campaign tables drifted from the committed baseline "
-                "(seeded campaign: this means FlowSpec semantics changed)"
-            )
-        div = 6 if quick else 2
-        for key in ("send_pkts_per_s", "decide_calls_per_s"):
-            _gate(
-                f"dataplane {key} vs committed baseline",
-                results["dataplane"][key],
-                baseline["dataplane"][key] / div,
-                failures,
-            )
-    else:
-        print(f"no baseline at {BASELINE}; skipping baseline comparison")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        "determinism gate: tables match baseline, absorbed curves monotone, "
-        "install limits held, flooder quarantined"
-    )
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_flowspec.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on table drift vs committed baseline, broken monotonicity, "
-        "rule-flood limit violations, or a data-plane rate under its floor",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(args.quick)
-    Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        return check_regression(results, quick=args.quick)
-    return 0
+    div = 6 if args.quick else 2
+    for key in ("send_pkts_per_s", "decide_calls_per_s"):
+        gates.floor(
+            f"dataplane {key} vs committed baseline",
+            results["dataplane"][key],
+            baseline["dataplane"][key] / div,
+        )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    output = "BENCH_flowspec.json"
+    sys.exit(main(__doc__, lambda args: run_benchmarks(args.quick), check, output))

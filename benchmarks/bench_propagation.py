@@ -1,7 +1,6 @@
 """Benchmark: compiled propagation engine vs the reference propagator.
 
-Standalone script (no pytest-benchmark dependency) so CI can run it as a
-smoke step and gate on regressions:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_propagation.py \\
         --output BENCH_propagation.json --check
@@ -46,15 +45,12 @@ converge and bounds the 50k sweep wall-clock relative to its baseline.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import random
 import sys
 import time
 from pathlib import Path
 
+from gates import clocked, fingerprint, main, timed, timed_pair
 from repro.inet.engine import PropagationEngine
 from repro.inet.gen import (
     InternetConfig,
@@ -68,9 +64,7 @@ from repro.net.addr import Prefix
 from repro.secroute import Roa, RoaRegistry, SecurityPolicy
 
 BASELINE = Path(__file__).with_name("BENCH_propagation_baseline.json")
-SCALE_BASELINE = Path(__file__).with_name(
-    "BENCH_propagation_scale_baseline.json"
-)
+SCALE_BASELINE = Path(__file__).with_name("BENCH_propagation_scale_baseline.json")
 
 # Hard floor for the delta regime: a single-announcement steering change
 # must reconverge at least this much faster than a full recompute.
@@ -114,9 +108,7 @@ def steering_sweep(graph, origin, points, groups=None):
     for _ in range(groups):
         announce_to = None
         if neighbors and rng.random() < 0.7:
-            announce_to = tuple(
-                n for n in neighbors if rng.random() < 0.5
-            )
+            announce_to = tuple(n for n in neighbors if rng.random() < 0.5)
         poison = ()
         if rng.random() < 0.3:
             poison = (rng.choice(asns),)
@@ -133,42 +125,6 @@ def steering_sweep(graph, origin, points, groups=None):
         sweep.append(Announcement(origins=(spec,)))
     rng.shuffle(sweep)
     return sweep
-
-
-def timed(fn, repeat=1):
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def timed_pair(fn_a, fn_b, repeat):
-    """Two callables run alternately: best time of each, and the median
-    over rounds of ``a / b``.  Neighbours in time share the machine's
-    mood, so the median ratio holds still where a ratio of two
-    independent minima jumps with one lucky sample."""
-    rounds = [(timed(fn_a), timed(fn_b)) for _ in range(repeat)]
-    ratios = sorted(a / b for a, b in rounds)
-    return (
-        min(a for a, _ in rounds),
-        min(b for _, b in rounds),
-        ratios[len(ratios) // 2],
-    )
-
-
-def machine_fingerprint():
-    """Where a result was recorded — baselines state it so a ratio that
-    depends on the machine (wall-clock budget) can be
-    read against the right hardware."""
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
 
 
 def multi_mux_announcement(graph, origin):
@@ -195,12 +151,9 @@ def delta_regime(engine, origin, repeat=5):
     variant = Announcement(origins=(OriginSpec(asn=origin, prepend=2),))
     prev = engine.propagate(base, use_cache=False)
 
-    full_s = timed(
-        lambda: engine.propagate(variant, use_cache=False), repeat
-    )
+    full_s = timed(lambda: engine.propagate(variant, use_cache=False), repeat)
     delta_s = timed(
-        lambda: engine.propagate_delta(prev, variant, use_cache=False),
-        repeat,
+        lambda: engine.propagate_delta(prev, variant, use_cache=False), repeat
     )
     return {
         "full_s": round(full_s, 6),
@@ -227,6 +180,14 @@ def secured_hijack(graph):
     return hijack, policy.compile_for(hijack)
 
 
+def versus(reference_s, engine_s):
+    return {
+        "reference_s": round(reference_s, 6),
+        "engine_s": round(engine_s, 6),
+        "speedup": round(reference_s / engine_s, 3),
+    }
+
+
 def run_benchmarks(quick: bool):
     graph = build_world(quick)
     origin = pick_origin(graph)
@@ -236,21 +197,16 @@ def run_benchmarks(quick: bool):
 
     repeat = 3
     single_ref = timed(lambda: propagate(graph, announcement), repeat)
-    single_eng = timed(
-        lambda: engine.propagate(announcement, use_cache=False), repeat
-    )
+    single_eng = timed(lambda: engine.propagate(announcement, use_cache=False), repeat)
 
     multi = multi_mux_announcement(graph, origin)
     multi_ref = timed(lambda: propagate(graph, multi), repeat)
-    multi_eng = timed(
-        lambda: engine.propagate(multi, use_cache=False), repeat
-    )
+    multi_eng = timed(lambda: engine.propagate(multi, use_cache=False), repeat)
 
     hijack, security = secured_hijack(graph)
     secure_ref = timed(lambda: propagate(graph, hijack, security), repeat)
     secure_eng = timed(
-        lambda: engine.propagate(hijack, use_cache=False, security=security),
-        repeat,
+        lambda: engine.propagate(hijack, use_cache=False, security=security), repeat
     )
 
     engine.cache.clear()
@@ -271,12 +227,9 @@ def run_benchmarks(quick: bool):
         for item in sweep:
             propagate(graph, item)
 
-    def eng_sweep():
-        engine.propagate_many(sweep, use_cache=False)
-
     sweep_repeat = 1 if quick else 2
     sweep_ref = timed(ref_sweep, sweep_repeat)
-    sweep_eng = timed(eng_sweep, sweep_repeat)
+    sweep_eng = timed(lambda: engine.propagate_many(sweep, use_cache=False), sweep_repeat)
 
     return {
         "config": {
@@ -284,24 +237,11 @@ def run_benchmarks(quick: bool):
             "n_ases": len(graph),
             "sweep_points": points,
             "origin": origin,
-            **machine_fingerprint(),
+            **fingerprint(),
         },
-        "single_shot": {
-            "reference_s": round(single_ref, 6),
-            "engine_s": round(single_eng, 6),
-            "speedup": round(single_ref / single_eng, 3),
-        },
-        "multi_spec": {
-            "specs": len(multi.origins),
-            "reference_s": round(multi_ref, 6),
-            "engine_s": round(multi_eng, 6),
-            "speedup": round(multi_ref / multi_eng, 3),
-        },
-        "secure": {
-            "reference_s": round(secure_ref, 6),
-            "engine_s": round(secure_eng, 6),
-            "speedup": round(secure_ref / secure_eng, 3),
-        },
+        "single_shot": versus(single_ref, single_eng),
+        "multi_spec": {"specs": len(multi.origins), **versus(multi_ref, multi_eng)},
+        "secure": versus(secure_ref, secure_eng),
         "cached": {
             "per_hit_us": round(cached_100 / 100 * 1e6, 3),
             "speedup_vs_reference": round(single_ref / (cached_100 / 100), 1),
@@ -327,12 +267,10 @@ def run_scale_benchmarks(n_ases: int, topology: str = None):
     :func:`load_caida_serial` on a published (or fixture)
     AS-relationship snapshot.
     """
-    build_start = time.perf_counter()
     if topology:
-        world = load_caida_serial(topology)
+        world, build_s = clocked(load_caida_serial, topology)
     else:
-        world = build_caida_like(n_ases)
-    build_s = time.perf_counter() - build_start
+        world, build_s = clocked(build_caida_like, n_ases)
     graph = world.graph
 
     engine = PropagationEngine(graph)
@@ -344,14 +282,10 @@ def run_scale_benchmarks(n_ases: int, topology: str = None):
     engine.propagate(announcement, use_cache=False)
     first_converge_s = time.perf_counter() - compile_start
 
-    repeat_converge_s = timed(
-        lambda: engine.propagate(announcement, use_cache=False), 3
-    )
+    repeat_converge_s = timed(lambda: engine.propagate(announcement, use_cache=False), 3)
 
     multi = multi_mux_announcement(graph, origin)
-    multi_full_s = timed(
-        lambda: engine.propagate(multi, use_cache=False), 3
-    )
+    multi_full_s = timed(lambda: engine.propagate(multi, use_cache=False), 3)
 
     hijack, security = secured_hijack(graph)
     unsecured_s, secured_s, secure_ratio = timed_pair(
@@ -373,7 +307,7 @@ def run_scale_benchmarks(n_ases: int, topology: str = None):
             "sweep_points": len(sweep),
             "origin": origin,
             "topology": topology,
-            **machine_fingerprint(),
+            **fingerprint(),
         },
         "topology": {
             "build_s": round(build_s, 3),
@@ -401,87 +335,55 @@ def run_scale_benchmarks(n_ases: int, topology: str = None):
     }
 
 
-def _gate(label, now, floor, failures):
-    status = "ok" if now >= floor else "FAIL"
-    print(f"regression gate [{label}]: {now:.2f} (floor {floor:.2f}) {status}")
-    if now < floor:
-        failures.append(label)
-
-
-def check_regression(results, quick: bool = False) -> int:
-    if not BASELINE.exists():
-        print(f"no baseline at {BASELINE}; skipping regression check")
-        return 0
-    baseline = json.loads(BASELINE.read_text())
-    failures: list = []
+def check(results, args, gates):
+    """Fail on >2x regression vs committed baseline (single-shot,
+    multi-spec, secure, sweep, and delta gates; 10x delta floor; with
+    --scale the 4x secured-converge ceiling)."""
+    if args.scale:
+        return check_scale(results, gates)
+    baseline = gates.baseline(BASELINE)
+    if baseline is None:
+        return
     # Quick smoke runs use a 300-AS world but the committed baseline is
     # recorded at full size, where the compiled engine's advantage is
     # larger (at 300 ASes per-call overhead, not the kernel, sets the
     # ratio: ~25x on the sweep against ~85x at 1500); give them 6x
     # headroom instead of 2x.
-    div = 6 if quick else 2
-    _gate(
-        "single-shot speedup",
-        results["single_shot"]["speedup"],
-        baseline["single_shot"]["speedup"] / div,
-        failures,
-    )
-    _gate(
-        "multi-spec speedup",
-        results["multi_spec"]["speedup"],
-        baseline["multi_spec"]["speedup"] / div,
-        failures,
-    )
-    _gate(
-        "secure speedup",
-        results["secure"]["speedup"],
-        baseline["secure"]["speedup"] / div,
-        failures,
-    )
-    _gate(
-        "sweep serial speedup",
-        results["sweep"]["serial_speedup"],
-        baseline["sweep"]["serial_speedup"] / div,
-        failures,
-    )
-    if quick:
+    div = 6 if args.quick else 2
+    for label, section, key in (
+        ("single-shot speedup", "single_shot", "speedup"),
+        ("multi-spec speedup", "multi_spec", "speedup"),
+        ("secure speedup", "secure", "speedup"),
+        ("sweep serial speedup", "sweep", "serial_speedup"),
+    ):
+        gates.floor(label, results[section][key], baseline[section][key] / div)
+    if args.quick:
         # The delta ratio grows with topology size (fixed per-call cost
         # vs O(n) full reconvergence), so a 300-AS smoke run can't be
         # held to a floor derived from the full-size baseline.
-        print("regression gate [delta speedup]: skipped in --quick "
-              "(gated in full and --scale runs)")
+        gates.skip("delta speedup", "--quick; gated in full and --scale runs")
     else:
         base_delta = baseline.get("delta", {}).get("speedup", DELTA_FLOOR)
-        _gate(
+        gates.floor(
             "delta speedup",
             results["delta"]["speedup"],
             max(DELTA_FLOOR, base_delta / 2),
-            failures,
         )
-    if failures:
-        print(f"FAIL: regressed vs committed baseline: {', '.join(failures)}")
-        return 1
-    return 0
 
 
-def check_scale_regression(results) -> int:
-    if not SCALE_BASELINE.exists():
-        print(f"no baseline at {SCALE_BASELINE}; skipping regression check")
-        return 0
-    baseline = json.loads(SCALE_BASELINE.read_text())
-    failures: list = []
-    base_delta = baseline["delta"]["speedup"]
-    _gate(
+def check_scale(results, gates):
+    baseline = gates.baseline(SCALE_BASELINE)
+    if baseline is None:
+        return
+    gates.floor(
         "scale delta speedup",
         results["delta"]["speedup"],
-        max(DELTA_FLOOR, base_delta / 2),
-        failures,
+        max(DELTA_FLOOR, baseline["delta"]["speedup"] / 2),
     )
-    _gate(
+    gates.floor(
         "scale unsecured / secured converge",
         results["secure"]["unsecured_vs_secured"],
         max(1 / SECURE_CEILING, baseline["secure"]["unsecured_vs_secured"] / 2),
-        failures,
     )
     # Absolute wall-clock bound, but relative to the committed baseline
     # (which itself records a single-digit-second sweep) so slow CI
@@ -492,73 +394,42 @@ def check_scale_regression(results) -> int:
         and results["config"]["n_ases"] == baseline["config"]["n_ases"]
     )
     if same_world:
-        sweep_budget = baseline["sweep"]["total_s"] * 3
-        _gate(
+        gates.floor(
             "scale sweep budget (inverted, s)",
-            sweep_budget - results["sweep"]["total_s"],
+            baseline["sweep"]["total_s"] * 3 - results["sweep"]["total_s"],
             0.0,
-            failures,
         )
     else:
-        print(
-            "regression gate [scale sweep budget]: skipped "
-            "(topology differs from baseline)"
-        )
-    if failures:
-        print(f"FAIL: regressed vs committed baseline: {', '.join(failures)}")
-        return 1
-    return 0
+        gates.skip("scale sweep budget", "topology differs from baseline")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument(
-        "--scale",
-        action="store_true",
-        help="Internet-scale regime: 50k-AS CAIDA-like topology",
-    )
-    parser.add_argument(
-        "--n-ases",
-        type=int,
-        default=50_000,
-        help="topology size for --scale (default 50000)",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        help="CAIDA AS-relationship serial snapshot to ingest for "
-        "--scale instead of generating one (.gz/.bz2 ok); e.g. the "
-        "checked-in tests/data/caida-as-rel-150.txt fixture",
-    )
-    parser.add_argument(
-        "--output", default=None, help="result JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on >2x regression vs committed baseline "
-        "(single-shot, multi-spec, secure, sweep, and delta gates; 10x "
-        "delta floor; with --scale the 4x secured-converge ceiling)",
-    )
-    args = parser.parse_args(argv)
-
+def measure(args):
     if args.scale:
-        results = run_scale_benchmarks(args.n_ases, topology=args.topology)
-        output = args.output or "BENCH_propagation_scale.json"
-    else:
-        results = run_benchmarks(args.quick)
-        output = args.output or "BENCH_propagation.json"
-    Path(output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        if args.scale:
-            return check_scale_regression(results)
-        return check_regression(results, quick=args.quick)
-    return 0
+        return run_scale_benchmarks(args.n_ases, topology=args.topology)
+    return run_benchmarks(args.quick)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        __doc__,
+        measure,
+        check,
+        output=lambda args: (
+            "BENCH_propagation_scale.json" if args.scale else "BENCH_propagation.json"
+        ),
+        flags={
+            "--scale": dict(
+                action="store_true",
+                help="Internet-scale regime: 50k-AS CAIDA-like topology",
+            ),
+            "--n-ases": dict(
+                type=int, default=50_000, help="topology size for --scale (default 50000)"
+            ),
+            "--topology": dict(
+                default=None,
+                help="CAIDA AS-relationship serial snapshot to ingest for "
+                "--scale instead of generating one (.gz/.bz2 ok); e.g. the "
+                "checked-in tests/data/caida-as-rel-150.txt fixture",
+            ),
+        },
+    ))

@@ -1,7 +1,6 @@
 """Benchmark + determinism gate for the route-security subsystem.
 
-Standalone script (no pytest dependency) so CI can run it as the
-``security-scenarios`` job:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_secroute.py \\
         --output BENCH_secroute.json --check
@@ -24,12 +23,10 @@ commit the output).
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
+from gates import clocked, main
 from repro.secroute import CampaignConfig, run_campaign
 
 BASELINE = Path(__file__).with_name("BENCH_secroute_baseline.json")
@@ -52,13 +49,8 @@ def campaign_config(quick: bool) -> CampaignConfig:
 def run_benchmarks(quick: bool):
     config = campaign_config(quick)
 
-    start = time.perf_counter()
-    compiled = run_campaign(config)
-    compiled_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    reference = run_campaign(config, use_reference=True)
-    reference_s = time.perf_counter() - start
+    compiled, compiled_s = clocked(run_campaign, config)
+    reference, reference_s = clocked(run_campaign, config, use_reference=True)
 
     print(compiled.table())
     results = {
@@ -86,54 +78,20 @@ def run_benchmarks(quick: bool):
     return results
 
 
-def check_regression(results) -> int:
-    failures = []
-    if not results["engines_agree"]:
-        failures.append("compiled and reference engines disagree")
+def check(results, args, gates):
+    """Fail on coverage drift vs committed baseline or broken monotonicity."""
+    gates.hold("engines agree", results["engines_agree"], "compiled vs reference coverage")
     for name, monotone in results["monotone"].items():
-        if not monotone:
-            failures.append(f"{name} coverage curve is not monotone")
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        if baseline["config"] != results["config"]:
-            print("baseline config differs; skipping exact-coverage comparison")
-        elif baseline["campaign"]["coverage"] != results["campaign"]["coverage"]:
-            failures.append(
-                "coverage tables drifted from the committed baseline "
-                "(seeded campaign: this means semantics changed)"
-            )
-    else:
-        print(f"no baseline at {BASELINE}; skipping exact-coverage comparison")
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("determinism gate: coverage tables match baseline, curves monotone")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_secroute.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail on coverage drift vs committed baseline or broken monotonicity",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(args.quick)
-    Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        return check_regression(results)
-    return 0
+        gates.hold(f"{name} monotone", monotone, "coverage vs deployment rate")
+    baseline = gates.baseline(BASELINE)
+    if baseline is not None and gates.same_config(results, baseline):
+        gates.hold(
+            "coverage tables",
+            baseline["campaign"]["coverage"] == results["campaign"]["coverage"],
+            "equal to the committed baseline (a drift means semantics changed)",
+        )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    output = "BENCH_secroute.json"
+    sys.exit(main(__doc__, lambda args: run_benchmarks(args.quick), check, output))

@@ -1,6 +1,6 @@
 """Benchmark: cost of full telemetry (metrics + tracing + route monitoring).
 
-Standalone script in the same mold as ``bench_propagation.py``:
+Run it (the command line and gates live in ``gates.py``):
 
     PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py \\
         --output BENCH_telemetry.json --check
@@ -16,13 +16,12 @@ instrumentation being "cheap enough"), taking the committed baseline
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import sys
 import time
 from pathlib import Path
 
+from gates import main
 from repro.bgp.dampening import DampeningConfig
 from repro.core.safety import SafetyConfig
 from repro.core.testbed import Testbed
@@ -160,44 +159,18 @@ def run_benchmarks(quick: bool):
     }
 
 
-def check_overhead(results) -> int:
+def check(results, args, gates):
+    """Fail when telemetry overhead exceeds the 5% ceiling."""
     overhead = results["overhead_pct"]
-    baseline_note = ""
-    if BASELINE.exists():
-        baseline = json.loads(BASELINE.read_text())
-        baseline_note = f" (committed baseline: {baseline['overhead_pct']:.2f}%)"
-    print(
-        f"overhead gate: telemetry adds {overhead:.2f}% "
-        f"(ceiling {OVERHEAD_GATE_PCT:.1f}%){baseline_note}"
+    baseline = gates.baseline(BASELINE, required=False)
+    note = f" (committed baseline: {baseline['overhead_pct']:.2f}%)" if baseline else ""
+    gates.hold(
+        "telemetry overhead",
+        overhead <= OVERHEAD_GATE_PCT,
+        f"telemetry adds {overhead:.2f}% (ceiling {OVERHEAD_GATE_PCT:.1f}%){note}",
     )
-    if overhead > OVERHEAD_GATE_PCT:
-        print("FAIL: telemetry instrumentation exceeds the overhead ceiling")
-        return 1
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="small config for CI smoke runs"
-    )
-    parser.add_argument(
-        "--output", default="BENCH_telemetry.json", help="result JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"fail when overhead exceeds {OVERHEAD_GATE_PCT}%%",
-    )
-    args = parser.parse_args(argv)
-
-    results = run_benchmarks(args.quick)
-    Path(args.output).write_text(json.dumps(results, indent=2) + "\n")
-    print(json.dumps(results, indent=2))
-    if args.check:
-        return check_overhead(results)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    output = "BENCH_telemetry.json"
+    sys.exit(main(__doc__, lambda args: run_benchmarks(args.quick), check, output))

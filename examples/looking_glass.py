@@ -17,6 +17,8 @@ runs a small steering experiment, and then asks the operator questions:
 Run:  PYTHONPATH=src python examples/looking_glass.py
 """
 
+from itertools import islice
+
 from repro.core import Testbed
 from repro.inet.gen import InternetConfig
 
@@ -60,7 +62,7 @@ def main() -> None:
     print()
 
     print("== BMP-style route monitoring stream (first 5 messages) ==")
-    for message in collector.monitor.messages[:5]:
+    for message in islice(collector.monitor.messages, 5):
         print(f"  {message}")
     print()
 

@@ -145,7 +145,7 @@ class Collector:
             "events": len(self.testbed.events),
             "spans": len(self.tracer.finished),
             "spans_dropped": self.tracer.dropped,
-            "bmp_messages": len(self.monitor.messages),
+            "bmp_messages": self.monitor.emitted,
             "monitored_muxes": len(self.monitor.servers()),
             "metric_families": len(self.metrics),
         }

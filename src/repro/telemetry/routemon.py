@@ -26,10 +26,12 @@ core is still loading); server/spec objects are duck-typed.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from typing import (
     BinaryIO,
     Callable,
+    Deque,
     Dict,
     List,
     NamedTuple,
@@ -49,6 +51,10 @@ from .metrics import GaugeChild, MetricsRegistry
 __all__ = ["BMPKind", "RouteMonitorMessage", "RouteMonitor", "MonitoredRib"]
 
 MAX_16BIT = 1 << 16
+
+# Monitoring messages kept per monitor; an observed testbed would
+# otherwise grow the list for as long as it runs.
+_MESSAGES_KEEP = 10_000
 
 
 class SpecLike(Protocol):
@@ -145,6 +151,8 @@ class RouteMonitor:
     Wire it to a session with :meth:`attach_session` (installs a tap that
     forwards session events); the testbed forwards post-policy changes
     through :meth:`post_policy_announce` / :meth:`post_policy_withdraw`.
+    The most recent messages are kept in :attr:`messages` (emit order, at
+    most ``_MESSAGES_KEEP``; older ones are counted in :attr:`dropped`).
     """
 
     def __init__(
@@ -155,7 +163,8 @@ class RouteMonitor:
     ) -> None:
         self.asn = asn
         self.clock = clock
-        self.messages: List[RouteMonitorMessage] = []
+        self.messages: Deque[RouteMonitorMessage] = deque(maxlen=_MESSAGES_KEEP)
+        self.emitted = 0
         self._ribs: Dict[str, MonitoredRib] = {}
         registry = metrics if metrics is not None else MetricsRegistry()
         self._msg_counter = registry.counter(
@@ -325,10 +334,16 @@ class RouteMonitor:
 
     def _emit(self, message: RouteMonitorMessage) -> None:
         self.messages.append(message)
+        self.emitted += 1
         view = "pre" if message.pre_policy else "post"
         self._msg_children[(message.kind, view)].inc()
 
     # -- queries --------------------------------------------------------------
+
+    @property
+    def dropped(self) -> int:
+        """Messages evicted from :attr:`messages`."""
+        return self.emitted - len(self.messages)
 
     def servers(self) -> List[str]:
         return sorted(self._ribs)

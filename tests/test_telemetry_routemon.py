@@ -10,7 +10,8 @@ from repro.core.alerts import Severity
 from repro.core.server import MuxMode
 from repro.core.testbed import Testbed
 from repro.inet.gen import InternetConfig
-from repro.telemetry.routemon import BMPKind
+from repro.telemetry import routemon
+from repro.telemetry.routemon import BMPKind, RouteMonitorMessage
 
 
 @pytest.fixture()
@@ -185,6 +186,31 @@ class TestSeverityFiltering:
             snapshot['peering_events_total{kind="custom-event",severity="critical"}']
             == 1.0
         )
+
+    def test_messages_keep_the_newest_and_count_drops(self, observed):
+        testbed, collector = observed
+        client = testbed.register_client("exp1", "alice")
+        client.attach_bgp("gatech01")
+        testbed.engine.run_for(1)
+        monitor = collector.monitor
+        before = monitor.emitted
+        assert before > 0 and monitor.dropped == 0
+        keep, extra = routemon._MESSAGES_KEEP, 7
+        for i in range(keep + extra):
+            monitor._emit(
+                RouteMonitorMessage(
+                    BMPKind.PEER_UP, 10.0 + i, "gatech01", "filler", reason=f"m{i}"
+                )
+            )
+        assert len(monitor.messages) == keep
+        assert monitor.dropped == before + extra
+        assert collector.stats()["bmp_messages"] == before + keep + extra
+        assert monitor.messages[0].reason == f"m{extra}"
+        assert len(monitor.of_kind(BMPKind.PEER_UP)) == keep
+        timeline = collector.timeline()
+        assert [t for t, _, _ in timeline] == sorted(t for t, _, _ in timeline)
+        bmp = [entry for _, stream, entry in timeline if stream == "bmp"]
+        assert bmp == [str(message).strip() for message in monitor.messages]
 
     def test_timeline_merges_streams(self, observed):
         testbed, collector = observed
