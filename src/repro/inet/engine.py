@@ -52,7 +52,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from time import perf_counter
 from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Mapping,
+    TYPE_CHECKING, AbstractSet, Dict, FrozenSet, Iterator, List, Mapping,
     Optional, Sequence, Set, Tuple,
 )
 
@@ -115,20 +115,24 @@ class CompiledTopology:
         idx = {asn: i for i, asn in enumerate(asns)}
         self.idx: Dict[int, int] = idx
 
-        def views(sorted_of: Callable[[int], Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+        to_index = idx.__getitem__
+
+        def views(rel: Mapping[int, AbstractSet[int]]) -> List[Tuple[int, ...]]:
             adj = array("l")
             off = array("l", [0])
             for asn in asns:
-                # sorted-by-ASN neighbors map to sorted indices (monotone).
-                adj.extend(idx[nbr] for nbr in sorted_of(asn))
+                adj.extend(sorted(map(to_index, rel[asn])))
                 off.append(len(adj))
             # tolist() gives fresh, adjacent ints; reusing idx's slows _converge ~15 %.
             lst = adj.tolist()
             return [tuple(lst[off[i]:off[i + 1]]) for i in range(n)]
 
-        self.providers = views(graph.sorted_providers)
-        self.customers = views(graph.sorted_customers)
-        self.peers = views(graph.sorted_peers)
+        # Straight from the adjacency sets, so the graph's sorted-view
+        # caches stay empty instead of holding a second copy of these views.
+        providers, customers, peers = graph.adjacency()
+        self.providers = views(providers)
+        self.customers = views(customers)
+        self.peers = views(peers)
         # Ascending index lists of nodes that have peer / customer edges,
         # so phases 2 and 3 skip the (usually large) pure-stub remainder.
         self.peer_nodes = tuple(i for i, p in enumerate(self.peers) if p)

@@ -18,7 +18,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
+    Tuple,
+)
 
 __all__ = [
     "Relationship",
@@ -268,6 +271,16 @@ class ASGraph:
         if view is None:
             view = self._sorted_peers[asn] = tuple(sorted(self._peers[asn]))
         return view
+
+    def adjacency(self) -> Tuple[Mapping[int, AbstractSet[int]], ...]:
+        """The live ``(providers, customers, peers)`` maps, asn -> set.
+
+        For bulk readers (compiling, cone passes) that visit every AS once
+        and would only fill the per-AS view caches with copies they never
+        reuse.  Read-only: the sets are the graph's own, in insertion
+        order, and change with it.
+        """
+        return self._providers, self._customers, self._peers
 
     def relationship(self, a: int, b: int) -> Optional[Relationship]:
         """The relationship of the a--b edge, or None.  For

@@ -319,6 +319,15 @@ class TestCompilation:
         assert g.sorted_providers(5) == (3, 9)
         assert g.neighbors(9) == frozenset({5})
 
+    def test_compile_leaves_sorted_view_caches_empty(self):
+        g = graph_from_edges(c2p=[(5, 3), (5, 1), (3, 1)], p2p=[(3, 4)])
+        ct = CompiledTopology(g)
+        assert not (g._sorted_providers or g._sorted_customers or g._sorted_peers)
+        # The caches still fill on demand, and agree with the compiled views.
+        assert g.sorted_providers(5) == (1, 3)
+        assert g._sorted_providers == {5: (1, 3)}
+        assert ct.providers[ct.idx[5]] == (ct.idx[1], ct.idx[3])
+
     def test_compiled_views_hold_sorted_neighbor_indices(self):
         g = graph_from_edges(c2p=[(5, 3), (5, 1), (3, 1)], p2p=[(3, 4)])
         ct = CompiledTopology(g)

@@ -2,21 +2,30 @@
 
 Checks structure (clique core, power-law tails, Zipf IXP sizes, valid
 relationships), determinism under a fixed seed, and that the output
-composes with the propagation engine.  Scaled down to a few thousand
-ASes so the suite stays fast; the 50k shape is exercised (and timed) by
+composes with the propagation engine.  Two worlds with an AMS-IX are
+pinned bit for bit by fingerprint, so a faster builder cannot change
+what it builds.  Scaled down to a few thousand ASes so the suite stays
+fast; the 50k shape is exercised (and timed) by
 ``benchmarks/bench_propagation.py --scale``.
 """
 
+import hashlib
+
 import pytest
 
-from repro.inet.engine import PropagationEngine
+from repro.inet.engine import CompiledTopology, PropagationEngine
 from repro.inet.gen import (
+    AmsIxConfig,
     CaidaConfig,
+    InternetConfig,
+    _cone_sizes,
+    build_amsix,
     build_caida_like,
+    build_internet,
     degree_stats,
 )
 from repro.inet.routing import Announcement
-from repro.inet.topology import ASKind
+from repro.inet.topology import ASGraph, ASKind, ASNode
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +127,117 @@ class TestCaidaDeterminismAndConfig:
         outcome = engine.propagate(Announcement.single(origin))
         # A stub's announcement must reach essentially the whole graph.
         assert len(outcome) >= 0.95 * len(graph)
+
+
+def _world_fingerprint(internet):
+    """sha256 over everything a world build decides: the edges, every
+    node's attributes, IXP and route-server membership, the raw insertion
+    order of each AS's adjacency sets, and the compiled views."""
+    graph = internet.graph
+    digest = hashlib.sha256()
+
+    def feed(*items):
+        digest.update(repr(items).encode())
+
+    for a, b, rel in graph.relationship_edges():
+        feed(a, b, rel.value)
+    providers, customers, peers = graph.adjacency()
+    for node in graph.nodes():
+        feed(
+            node.asn, node.name, node.country, node.kind.value,
+            node.peering_policy.value, node.prefix_count, sorted(node.ixps),
+            node.uses_route_server,
+        )
+        feed(
+            list(providers[node.asn]), list(customers[node.asn]),
+            list(peers[node.asn]),
+        )
+    for name, ixp in internet.ixps.items():
+        feed(name, sorted(ixp.members()), sorted(ixp.route_server_members()))
+    ct = CompiledTopology(graph)
+    feed(ct.asns, ct.providers, ct.customers, ct.peers, ct.peer_nodes, ct.cust_nodes)
+    return digest.hexdigest()
+
+
+def _transit_depth(graph):
+    """Longest chain of transit ASes linked by provider->customer edges."""
+    depth = {}
+    transit = [n.asn for n in graph.nodes() if n.kind is ASKind.TRANSIT]
+    # ASNs grow with build order and providers are always built first, so
+    # descending ASN visits every customer before its providers.
+    for asn in sorted(transit, reverse=True):
+        depth[asn] = 1 + max((depth.get(c, 0) for c in graph.customers(asn)), default=0)
+    return max(depth.values())
+
+
+@pytest.fixture(scope="module")
+def amsix_world():
+    """A CAIDA-like world with a scaled AMS-IX, plus the graph version and
+    edge count just before build_amsix."""
+    internet = build_caida_like(5_000)
+    before = (internet.graph.version, internet.graph.edge_count())
+    build_amsix(internet, AmsIxConfig.scaled(300))
+    return internet, before
+
+
+class TestSameWorld:
+    """The builders' output is pinned bit for bit: faster construction
+    must still produce these exact worlds.  The constants are the
+    fingerprints of the straightforward per-element builders."""
+
+    def test_smoke_world(self):
+        internet = build_internet(
+            InternetConfig(n_ases=400, total_prefixes=20_000, seed=11)
+        )
+        build_amsix(internet, AmsIxConfig.scaled(80))
+        assert _world_fingerprint(internet) == (
+            "194f9d5dbafdb8996256859384068ed90a09c55964073429266effc5bc658caf"
+        )
+
+    def test_caida_world_with_amsix(self, amsix_world):
+        internet, _ = amsix_world
+        # Deep enough that the cone pass nests transit cones three levels.
+        assert _transit_depth(internet.graph) >= 3
+        assert _world_fingerprint(internet) == (
+            "b53bfae0c14196f66794d55b4f028dc20cd61fc254520d786c002ea0f00c58bc"
+        )
+
+    def test_route_server_mesh_is_one_mutation(self, amsix_world):
+        internet, (version, edges) = amsix_world
+        assert internet.graph.edge_count() - edges == 30_599
+        assert internet.graph.version == version + 1
+
+
+class TestConeSizes:
+    def test_equal_to_a_walk_per_as(self, world):
+        graph = world.graph
+        sizes = _cone_sizes(graph, graph.asns())
+        with_customers = [a for a in graph.asns() if graph.customers(a)]
+        assert sorted(sizes) == sorted(with_customers)
+        for asn in with_customers:
+            assert sizes[asn] == len(graph.customer_cone(asn))
+
+    def test_only_below_the_roots(self):
+        g = ASGraph()
+        for asn in (1, 2, 3, 4, 5):
+            g.add_as(ASNode(asn=asn))
+        g.add_provider(2, 1)
+        g.add_provider(3, 2)
+        g.add_provider(4, 3)
+        g.add_provider(5, 2)
+        assert _cone_sizes(g, [3]) == {3: 2}
+        assert _cone_sizes(g, [2, 4]) == {3: 2, 2: 4}
+
+    def test_provider_cycle_stays_exact(self):
+        g = ASGraph()
+        for asn in (1, 2, 3, 4, 5):
+            g.add_as(ASNode(asn=asn))
+        # 1 -> 2 -> 3 -> 1 is a provider cycle; 4 hangs below 3, 5 above 1.
+        g.add_provider(2, 1)
+        g.add_provider(3, 2)
+        g.add_provider(1, 3)
+        g.add_provider(4, 3)
+        g.add_provider(1, 5)
+        sizes = _cone_sizes(g, g.asns())
+        assert sizes == {a: len(g.customer_cone(a)) for a in (1, 2, 3, 5)}
+        assert sizes[1] == 4 and sizes[5] == 5
