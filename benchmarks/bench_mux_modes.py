@@ -166,11 +166,16 @@ def test_route_relay_equivalence(world, benchmark):
     testbed = world
     server = testbed.server(MUX)
     peer_asns = sorted(server.neighbor_asns)[:16]
+    # A destination both selected and unselected peers have routes to, so
+    # relaying an unselected peer's route would show.
     dest = next(
         node.asn
         for node in testbed.graph.nodes()
-        if node.kind.value == "access" and node.asn not in server.neighbor_asns
+        if node.kind.value == "access"
+        and set(server.routes_toward(node.asn)) & set(peer_asns)
+        and set(server.routes_toward(node.asn)) - set(peer_asns)
     )
+    expected = len(set(server.routes_toward(dest)) & set(peer_asns))
     prefix = Prefix("203.0.113.0/24")
 
     def run():
@@ -199,6 +204,6 @@ def test_route_relay_equivalence(world, benchmark):
             ["bird-mode candidates at client", bird_recv],
         ],
     )
-    assert quagga_sent == bird_sent
+    assert quagga_sent == bird_sent == expected
     # BIRD-mode ADD-PATH preserves every alternate on one session.
     assert bird_recv == bird_sent

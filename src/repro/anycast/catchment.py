@@ -280,10 +280,6 @@ class CatchmentMap:
         total = self.total_volume or 1
         return {s: self.volume_by_site[s] / total for s in self.sites}
 
-    def as_shares(self) -> Dict[str, float]:
-        total = self.total_ases or 1
-        return {s: self.ases_by_site[s] / total for s in self.sites}
-
     @property
     def unserved_fraction(self) -> float:
         return self.unserved_volume / self.total_volume if self.total_volume else 0.0

@@ -207,9 +207,6 @@ class PathAttributes:
     originator_id: Optional[IPAddress] = None
     cluster_list: Tuple[int, ...] = ()
 
-    def with_path(self, as_path: ASPath) -> "PathAttributes":
-        return replace(self, as_path=as_path)
-
     def prepended(self, asn: int, count: int = 1) -> "PathAttributes":
         return replace(self, as_path=self.as_path.prepend(asn, count))
 
@@ -227,9 +224,6 @@ class PathAttributes:
 
     def add_communities(self, communities: Iterable[Community]) -> "PathAttributes":
         return replace(self, communities=self.communities | frozenset(communities))
-
-    def has_community(self, community: Community) -> bool:
-        return community in self.communities
 
     def reflected(self, originator: IPAddress, cluster_id: int) -> "PathAttributes":
         """Stamp RFC 4456 reflection state before re-advertising an iBGP route."""

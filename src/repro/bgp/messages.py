@@ -133,13 +133,6 @@ class Capability:
             )
         return struct.unpack_from("!H", self.data, 0)[0] & 0xFFF
 
-    def graceful_restart_flags(self) -> int:
-        if self.code != CapabilityCode.GRACEFUL_RESTART or len(self.data) < 2:
-            raise OpenError(
-                "not a graceful-restart capability", OpenSub.UNSUPPORTED_CAPABILITY
-            )
-        return struct.unpack_from("!H", self.data, 0)[0] >> 12
-
     def four_octet_asn(self) -> int:
         if self.code != CapabilityCode.FOUR_OCTET_AS or len(self.data) != 4:
             raise OpenError("not a 4-octet-AS capability", OpenSub.UNSUPPORTED_CAPABILITY)

@@ -1,14 +1,12 @@
-"""MRT-style export of BGP updates and table dumps (RFC 6396 subset).
+"""MRT-style export of BGP updates (RFC 6396 subset).
 
 PEERING automatically collects control-plane measurements toward its
 prefixes (§3 "Easing management").  The collectors in
 :mod:`repro.core.measurements` persist what they see in MRT records so the
 output can be processed like a RouteViews feed.
 
-Implemented record types:
-
-* ``BGP4MP_MESSAGE_AS4`` (type 16, subtype 4) wrapping a raw UPDATE.
-* ``TABLE_DUMP_V2`` PEER_INDEX_TABLE (13/1) and RIB_IPV4_UNICAST (13/2).
+The one implemented record type is ``BGP4MP_MESSAGE_AS4`` (type 16,
+subtype 4) wrapping a raw UPDATE.
 
 The binary layout follows the RFC closely enough that records round-trip
 through our own reader; interchange with external tooling is best-effort.
@@ -18,28 +16,20 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Iterator, Tuple
 
-from ..net.addr import IPAddress, Prefix
-from .attributes import PathAttributes
-from .messages import UpdateMessage, HEADER_LEN
-from .rib import Route
+from ..net.addr import IPAddress
+from .messages import UpdateMessage
 
 __all__ = [
     "MRT_BGP4MP",
-    "MRT_TABLE_DUMP_V2",
     "MrtRecord",
     "write_update",
-    "write_table_dump",
     "read_records",
-    "read_table_dump",
 ]
 
 MRT_BGP4MP = 16
 BGP4MP_MESSAGE_AS4 = 4
-MRT_TABLE_DUMP_V2 = 13
-TD2_PEER_INDEX = 1
-TD2_RIB_IPV4_UNICAST = 2
 
 
 @dataclass(frozen=True)
@@ -77,69 +67,6 @@ def write_update(
     out.write(record.encode())
 
 
-def write_table_dump(
-    out: BinaryIO,
-    timestamp: float,
-    collector_id: IPAddress,
-    routes: Sequence[Route],
-) -> int:
-    """Write a PEER_INDEX_TABLE followed by one RIB entry per prefix.
-
-    Returns the number of RIB records written.  Routes are grouped by
-    prefix; each group becomes one RIB_IPV4_UNICAST record whose entries
-    reference peers by index.
-    """
-    peers: List[Tuple[int, str]] = []
-    peer_index = {}
-    for route in routes:
-        key = (route.peer_asn or 0, route.peer_id)
-        if key not in peer_index:
-            peer_index[key] = len(peers)
-            peers.append(key)
-
-    body = collector_id.packed() + struct.pack("!H", 0)  # no view name
-    body += struct.pack("!H", len(peers))
-    for asn, peer_id in peers:
-        try:
-            address = IPAddress(peer_id)
-        except Exception:
-            address = IPAddress(0, 4)
-        # peer type 2 = AS4 + IPv4 address
-        body += bytes([2]) + IPAddress(0, 4).packed() + address.packed() + struct.pack("!I", asn)
-    out.write(MrtRecord(int(timestamp), MRT_TABLE_DUMP_V2, TD2_PEER_INDEX, body).encode())
-
-    by_prefix = {}
-    for route in routes:
-        by_prefix.setdefault(route.prefix, []).append(route)
-
-    seq = 0
-    for prefix in sorted(by_prefix):
-        group = by_prefix[prefix]
-        entry_blob = b""
-        for route in group:
-            attrs = _encode_rib_attributes(route.attributes)
-            idx = peer_index[(route.peer_asn or 0, route.peer_id)]
-            entry_blob += struct.pack("!HIH", idx, int(route.learned_at), len(attrs)) + attrs
-        nbytes = (prefix.length + 7) // 8
-        body = (
-            struct.pack("!IB", seq, prefix.length)
-            + prefix.address.packed()[:nbytes]
-            + struct.pack("!H", len(group))
-            + entry_blob
-        )
-        out.write(
-            MrtRecord(int(timestamp), MRT_TABLE_DUMP_V2, TD2_RIB_IPV4_UNICAST, body).encode()
-        )
-        seq += 1
-    return seq
-
-
-def _encode_rib_attributes(attributes: PathAttributes) -> bytes:
-    from .messages import _encode_attributes  # shared with the UPDATE codec
-
-    return _encode_attributes(attributes)
-
-
 def read_records(data: bytes) -> Iterator[MrtRecord]:
     """Iterate the MRT records in ``data``."""
     i = 0
@@ -152,87 +79,6 @@ def read_records(data: bytes) -> Iterator[MrtRecord]:
             raise ValueError("truncated MRT record body")
         yield MrtRecord(timestamp, rtype, subtype, data[i : i + length])
         i += length
-
-
-def read_table_dump(data: bytes) -> List[Route]:
-    """Decode a TABLE_DUMP_V2 stream back into :class:`Route` entries.
-
-    The inverse of :func:`write_table_dump`: a PEER_INDEX_TABLE record
-    establishes the peer list, and each RIB_IPV4_UNICAST record yields one
-    Route per entry.  Raises :class:`ValueError` on malformed input (the
-    round-trip regression test feeds this from our own writer, but a
-    reader must not crash on garbage either).
-    """
-    peers: List[Tuple[int, str]] = []
-    routes: List[Route] = []
-    for record in read_records(data):
-        if record.type != MRT_TABLE_DUMP_V2:
-            continue
-        if record.subtype == TD2_PEER_INDEX:
-            peers = _decode_peer_index(record.data)
-        elif record.subtype == TD2_RIB_IPV4_UNICAST:
-            if not peers:
-                raise ValueError("RIB record before PEER_INDEX_TABLE")
-            routes.extend(
-                _decode_rib_record(record.timestamp, record.data, peers)
-            )
-    return routes
-
-
-def _decode_peer_index(data: bytes) -> List[Tuple[int, str]]:
-    offset = 4  # collector id
-    (name_len,) = struct.unpack_from("!H", data, offset)
-    offset += 2 + name_len
-    (count,) = struct.unpack_from("!H", data, offset)
-    offset += 2
-    peers: List[Tuple[int, str]] = []
-    for _ in range(count):
-        peer_type = data[offset]
-        offset += 1
-        # We only ever write type 2 (AS4, IPv4 BGP id + address).
-        if peer_type != 2:
-            raise ValueError(f"unsupported peer type {peer_type}")
-        offset += 4  # BGP id (unused by our writer)
-        address = IPAddress.from_packed(data[offset : offset + 4])
-        offset += 4
-        (asn,) = struct.unpack_from("!I", data, offset)
-        offset += 4
-        peers.append((asn, str(address)))
-    return peers
-
-
-def _decode_rib_record(
-    timestamp: int, data: bytes, peers: Sequence[Tuple[int, str]]
-) -> List[Route]:
-    _seq, plen = struct.unpack_from("!IB", data, 0)
-    offset = 5
-    nbytes = (plen + 7) // 8
-    packed = data[offset : offset + nbytes] + b"\x00" * (4 - nbytes)
-    prefix = Prefix(IPAddress.from_packed(packed), plen)
-    offset += nbytes
-    (count,) = struct.unpack_from("!H", data, offset)
-    offset += 2
-    from .messages import _decode_attributes
-
-    routes: List[Route] = []
-    for _ in range(count):
-        idx, learned_at, attr_len = struct.unpack_from("!HIH", data, offset)
-        offset += 8
-        if idx >= len(peers):
-            raise ValueError(f"peer index {idx} out of range")
-        attributes = _decode_attributes(data[offset : offset + attr_len])
-        offset += attr_len
-        asn, peer_id = peers[idx]
-        routes.append(
-            Route(
-                prefix=prefix,
-                attributes=attributes,
-                peer_asn=asn or None,
-                peer_id=peer_id,
-                learned_at=float(learned_at),
-            )
-        )
-    return routes
 
 
 def decode_update_record(record: MrtRecord) -> Tuple[int, int, UpdateMessage]:

@@ -91,10 +91,6 @@ class AdjRIBIn:
             del self._routes[prefix]
         return route
 
-    def remove_all(self, prefix: Prefix) -> List[Route]:
-        slot = self._routes.pop(prefix, None)
-        return list(slot.values()) if slot else []
-
     def get(self, prefix: Prefix, path_id: Optional[int] = None) -> Optional[Route]:
         return self._routes.get(prefix, {}).get(path_id)
 
@@ -213,10 +209,6 @@ class AdjRIBOut:
         if not slot:
             self._routes.pop(prefix, None)
         return route
-
-    def withdraw_all(self, prefix: Prefix) -> List[Route]:
-        slot = self._routes.pop(prefix, None)
-        return list(slot.values()) if slot else []
 
     def get(self, prefix: Prefix, path_id: Optional[int] = None) -> Optional[Route]:
         return self._routes.get(prefix, {}).get(path_id)

@@ -177,21 +177,11 @@ class BGPRouter:
     def peers(self) -> List[str]:
         return list(self._peers)
 
-    def established_peers(self) -> List[str]:
-        return [pid for pid, p in self._peers.items() if p.session.established]
-
     def start(self) -> None:
         """Start every non-passive session."""
         for peer in self._peers.values():
             if not peer.config.passive:
                 peer.session.start()
-
-    def remove_peer(self, peer_id: str) -> None:
-        peer = self._peers.pop(peer_id, None)
-        if peer is None:
-            return
-        peer.session.stop("peer deconfigured")
-        self._flush_peer_routes(peer)
 
     # -- local origination -----------------------------------------------------
 
@@ -556,9 +546,6 @@ class BGPRouter:
 
     def routes_received_from(self, peer_id: str) -> List[Route]:
         return list(self._peers[peer_id].adj_in.routes())
-
-    def routes_sent_to(self, peer_id: str) -> List[Route]:
-        return list(self._peers[peer_id].adj_out.routes())
 
 
 def _originator_of(route: Route, default: IPAddress) -> IPAddress:

@@ -320,11 +320,6 @@ class BGPSession:
         """Send the RFC 4724 End-of-RIB marker (an empty UPDATE)."""
         self.send_update(UpdateMessage.end_of_rib())
 
-    def request_refresh(self) -> None:
-        if not self.fsm.established:
-            raise BGPError("cannot refresh a down session")
-        self._send(RouteRefreshMessage().encode())
-
     def _send(self, data: bytes) -> None:
         if self.endpoint is None:
             raise ChannelClosed(

@@ -1,7 +1,6 @@
 """The PEERING testbed: servers (muxes), clients, prefix allocation,
-safety enforcement, scheduling, provisioning, and measurement collection."""
+safety enforcement, scheduling, and measurement collection."""
 
-from .alerts import AlertKind, HijackAlert, HijackDetector
 from .allocation import Allocation, AllocationError, PrefixPool
 from .client import Attachment, PeeringClient
 from .experiment import (
@@ -16,7 +15,6 @@ from .measurements import (
     ProbeObservation,
     RouteObservation,
 )
-from .provisioning import Provisioner, ProvisioningDatabase, Record, RecordKind
 from .safety import SafetyConfig, SafetyDecision, SafetyEnforcer, SafetyVerdict
 from .scheduler import (
     AnnouncementScheduler,
@@ -37,9 +35,6 @@ from .services import (
 from .testbed import PEERING_ASN, PEERING_SUPERNET, Testbed
 
 __all__ = [
-    "AlertKind",
-    "HijackAlert",
-    "HijackDetector",
     "Allocation",
     "AllocationError",
     "PrefixPool",
@@ -53,10 +48,6 @@ __all__ = [
     "DataPlaneCollector",
     "ProbeObservation",
     "RouteObservation",
-    "Provisioner",
-    "ProvisioningDatabase",
-    "Record",
-    "RecordKind",
     "SafetyConfig",
     "SafetyDecision",
     "SafetyEnforcer",

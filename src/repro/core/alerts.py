@@ -1,4 +1,4 @@
-"""Operational alerting: testbed event bus + PHAS-style hijack detection.
+"""Operational alerting: the testbed event bus.
 
 :class:`EventBus` is the operator-facing event log.  Every fault and
 recovery — link cuts, mux crashes and restarts, session transitions,
@@ -7,45 +7,20 @@ a :class:`TestbedEvent` with the simulated timestamp.  The log is
 append-ordered and carries only deterministic data, so two same-seed
 chaos runs produce byte-identical logs (the reproducibility property the
 fault tests assert).
-
-The rest of the module is PHAS-style prefix-hijack alerting over the
-measurement feed.
-
-The paper motivates PEERING with BGP's lack of "mechanisms to prevent
-... prefix hijacks [24, 32, 58]" (PHAS is [32]).  This module implements
-the detection side on top of the control-plane collector: it watches the
-origin AS and immediate upstream each vantage observes for every watched
-prefix, and raises alerts when they deviate from the registered baseline.
-
-Alert types (the PHAS taxonomy, adapted):
-
-* **ORIGIN_HIJACK** — a vantage sees an origin AS outside the prefix's
-  registered origin set (classic MOAS hijack);
-* **MORE_SPECIFIC** — an announcement appears for a sub-prefix of a
-  watched prefix that the owner did not register;
-* **LOST_VISIBILITY** — a previously-visible prefix disappears from many
-  vantages at once (blackholing / mass withdrawal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net.addr import Prefix
 from ..sim.engine import Engine
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .testbed import Testbed
 
 __all__ = [
     "Severity",
     "TestbedEvent",
     "EventBus",
-    "AlertKind",
-    "HijackAlert",
-    "HijackDetector",
 ]
 
 
@@ -147,128 +122,3 @@ class EventBus:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class AlertKind(Enum):
-    ORIGIN_HIJACK = "origin-hijack"
-    MORE_SPECIFIC = "more-specific"
-    LOST_VISIBILITY = "lost-visibility"
-
-
-@dataclass(frozen=True)
-class HijackAlert:
-    kind: AlertKind
-    prefix: Prefix
-    time: float
-    observed_origin: Optional[int] = None
-    vantages: Tuple[int, ...] = ()
-    detail: str = ""
-
-
-class HijackDetector:
-    """Watches announced prefixes from a set of vantage ASes.
-
-    Registration establishes ground truth (owner origins per prefix);
-    :meth:`scan` compares the current converged state against it.
-    """
-
-    def __init__(
-        self,
-        testbed: "Testbed",
-        vantage_asns: Sequence[int],
-        visibility_loss_threshold: float = 0.8,
-    ) -> None:
-        self.testbed = testbed
-        self.vantage_asns = list(vantage_asns)
-        self.visibility_loss_threshold = visibility_loss_threshold
-        self._registered: Dict[Prefix, Set[int]] = {}
-        self._last_visibility: Dict[Prefix, int] = {}
-        self.alerts: List[HijackAlert] = []
-
-    def register(self, prefix: Prefix, origins: Set[int]) -> None:
-        """Declare the legitimate origin set for ``prefix``."""
-        self._registered[prefix] = set(origins)
-
-    def watched(self) -> List[Prefix]:
-        return list(self._registered)
-
-    def scan(self) -> List[HijackAlert]:
-        """One detection round; returns (and records) new alerts."""
-        now = self.testbed.engine.now
-        new_alerts: List[HijackAlert] = []
-        # Watch both the testbed's own registry and anything installed in
-        # the data plane (externally-originated announcements — how a real
-        # hijacker shows up to a monitor).
-        self.testbed._flush_dirty()
-        announced = set(self.testbed.announced_prefixes()) | set(
-            self.testbed.dataplane._outcomes
-        )
-
-        for prefix, origins in self._registered.items():
-            outcome = self.testbed.outcome_for(prefix)
-
-            # Unregistered more-specifics covering watched space.
-            for other in announced:
-                if other != prefix and prefix.contains(other) and other not in self._registered:
-                    new_alerts.append(
-                        HijackAlert(
-                            AlertKind.MORE_SPECIFIC,
-                            other,
-                            now,
-                            detail=f"unregistered more-specific of {prefix}",
-                        )
-                    )
-
-            if outcome is None:
-                visible = 0
-            else:
-                bad_vantages: Dict[int, List[int]] = {}
-                visible = 0
-                for vantage in self.vantage_asns:
-                    path = outcome.as_path(vantage)
-                    if path is None:
-                        continue
-                    visible += 1
-                    observed_origin = path[-1] if path else vantage
-                    if observed_origin not in origins:
-                        bad_vantages.setdefault(observed_origin, []).append(vantage)
-                for observed_origin, vantages in sorted(bad_vantages.items()):
-                    new_alerts.append(
-                        HijackAlert(
-                            AlertKind.ORIGIN_HIJACK,
-                            prefix,
-                            now,
-                            observed_origin=observed_origin,
-                            vantages=tuple(vantages),
-                            detail=(
-                                f"{len(vantages)} vantages see origin "
-                                f"AS{observed_origin}, expected {sorted(origins)}"
-                            ),
-                        )
-                    )
-
-            previous = self._last_visibility.get(prefix)
-            if (
-                previous is not None
-                and previous > 0
-                and visible < previous * (1 - self.visibility_loss_threshold)
-            ):
-                new_alerts.append(
-                    HijackAlert(
-                        AlertKind.LOST_VISIBILITY,
-                        prefix,
-                        now,
-                        detail=f"visibility {previous} -> {visible} vantages",
-                    )
-                )
-            self._last_visibility[prefix] = visible
-
-        self.alerts.extend(new_alerts)
-        return new_alerts
-
-    def schedule_rounds(self, interval: float, rounds: int) -> None:
-        for i in range(1, rounds + 1):
-            self.testbed.engine.schedule(interval * i, self.scan, label="hijack-scan")
-
-    def alerts_for(self, prefix: Prefix) -> List[HijackAlert]:
-        return [a for a in self.alerts if a.prefix == prefix]

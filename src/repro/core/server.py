@@ -799,8 +799,8 @@ class PeeringServer:
         return routes
 
     def relay_destination(self, client_id: str, destination_asn: int, prefix: Prefix) -> int:
-        """Push each peer's route for ``prefix`` (originated by
-        ``destination_asn``) down the client's sessions, preserving
+        """Push the route each selected peer has for ``prefix`` (originated
+        by ``destination_asn``) down the client's sessions, preserving
         per-peer separation.  Returns the number of routes sent."""
         attachment = self._require_client(client_id)
         if not self.alive or self.wedged:
@@ -820,8 +820,9 @@ class PeeringServer:
                     sent += 1
             else:
                 session = attachment.bird_session
-                if session is not None and session.established:
-                    path_id = attachment.path_id_for(peer_asn)
+                # connect_client gave each selected peer a path id, and only those.
+                path_id = attachment.path_id_by_peer.get(peer_asn)
+                if session is not None and session.established and path_id is not None:
                     session.announce([prefix], attributes, path_ids=[path_id])
                     sent += 1
         self.updates_relayed += sent

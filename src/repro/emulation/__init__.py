@@ -4,7 +4,7 @@ per-PoP routing daemons, Topology Zoo data."""
 from .igp import IGPError, LinkStateDatabase, SPFResult
 from .mininext import Container, EmulationError, MinineXt
 from .quagga import QuaggaMemoryModel, QuaggaService
-from .topology_zoo import PoP, ZooTopology, hurricane_electric, parse_gml
+from .topology_zoo import PoP, ZooTopology, hurricane_electric
 
 __all__ = [
     "IGPError",
@@ -18,5 +18,4 @@ __all__ = [
     "PoP",
     "ZooTopology",
     "hurricane_electric",
-    "parse_gml",
 ]

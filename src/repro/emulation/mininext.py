@@ -7,9 +7,10 @@ building blocks for Quagga and for connecting to PEERING servers (§3,
 1. build a topology of containers and links (e.g. from
    :func:`repro.emulation.topology_zoo.hurricane_electric`);
 2. run a routing service (our BGP router + link-state IGP) in each;
-3. mesh them with iBGP (full mesh or route reflection);
-4. hook one or more containers to external BGP peers — in practice a
-   PEERING mux (:class:`repro.core.server.PeeringServer`) — so real(istic)
+3. connect them with iBGP between adjacent PoPs only, every router
+   reflecting (the §4.2 setup, :meth:`MinineXt.ibgp_adjacent_sessions`);
+4. couple the backbone to a PEERING mux through a client's BGP session
+   (``examples/hurricane_electric_emulation.py``), so real(istic)
    interdomain routes flow through the emulated backbone and back out.
 
 Addresses: each container gets a loopback out of 10.10.0.0/16 in creation
@@ -19,12 +20,11 @@ order; link metrics default to 1 (hop count IGP).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..bgp.policy import RouteMap
 from ..bgp.router import BGPRouter, PeerConfig
-from ..net.addr import IPAddress, Prefix
-from ..net.channel import ChannelPair, Endpoint
+from ..net.addr import IPAddress
+from ..net.channel import ChannelPair
 from ..sim.engine import Engine
 from .igp import LinkStateDatabase, SPFResult
 from .quagga import QuaggaMemoryModel, QuaggaService
@@ -145,55 +145,6 @@ class MinineXt:
 
     # -- iBGP meshing ------------------------------------------------------------
 
-    def ibgp_session(self, a: str, b: str, rr_client_of_a: bool = False) -> None:
-        """One iBGP session between two containers' routers."""
-        ra, rb = self._router(a), self._router(b)
-        if ra.asn != rb.asn:
-            raise EmulationError(f"{a}/{b} are in different ASes; use external_peer")
-        pair = ChannelPair(f"ibgp:{a}<->{b}")
-        sa = ra.add_peer(
-            PeerConfig(
-                peer_id=str(rb.router_id),
-                remote_asn=rb.asn,
-                local_address=ra.router_id,
-                route_reflector_client=rr_client_of_a,
-                description=f"{a}->{b}",
-            ),
-            pair.a,
-        )
-        sb = rb.add_peer(
-            PeerConfig(
-                peer_id=str(ra.router_id),
-                remote_asn=ra.asn,
-                local_address=rb.router_id,
-                description=f"{b}->{a}",
-            ),
-            pair.b,
-        )
-        sa.start()
-        sb.start()
-
-    def ibgp_full_mesh(self, names: Optional[Iterable[str]] = None) -> int:
-        """Classic full mesh; returns the number of sessions created."""
-        routed = [n for n in (names or self._containers) if self._containers[n].has_router]
-        count = 0
-        for i, a in enumerate(routed):
-            for b in routed[i + 1 :]:
-                self.ibgp_session(a, b)
-                count += 1
-        return count
-
-    def ibgp_route_reflector(self, reflector: str, clients: Optional[Iterable[str]] = None) -> int:
-        """Hub-and-spoke reflection: ``reflector`` reflects for everyone."""
-        names = [
-            n
-            for n in (clients or self._containers)
-            if n != reflector and self._containers[n].has_router
-        ]
-        for client in names:
-            self.ibgp_session(reflector, client, rr_client_of_a=True)
-        return len(names)
-
     def ibgp_adjacent_sessions(self, mrai: float = 5.0) -> int:
         """iBGP sessions along physical links only (the §4.2 HE setup:
         "configured sessions between adjacent PoPs"), with every router
@@ -247,38 +198,6 @@ class MinineXt:
         if container.service is None:
             raise EmulationError(f"{name!r} runs no router")
         return container.service.router
-
-    # -- external connectivity -------------------------------------------------------
-
-    def external_peer(
-        self,
-        name: str,
-        remote_asn: int,
-        export_policy: Optional[RouteMap] = None,
-        import_policy: Optional[RouteMap] = None,
-        add_path: bool = False,
-    ) -> Tuple[Endpoint, PeerConfig]:
-        """Prepare an eBGP attachment point on container ``name``.
-
-        Returns the *remote* endpoint plus this side's peer config; the
-        caller (e.g. a PEERING client/server) wires the remote endpoint
-        into its own session.  The local session is registered and started
-        (it completes once the remote side answers).
-        """
-        router = self._router(name)
-        pair = ChannelPair(f"ebgp:{name}<->AS{remote_asn}")
-        config = PeerConfig(
-            peer_id=f"ebgp-{remote_asn}-{name}",
-            remote_asn=remote_asn,
-            local_address=self._containers[name].loopback,
-            export_policy=export_policy or RouteMap.PERMIT_ALL,
-            import_policy=import_policy or RouteMap.PERMIT_ALL,
-            add_path=add_path,
-            description=f"{name}->AS{remote_asn}",
-        )
-        session = router.add_peer(config, pair.a)
-        session.start()
-        return pair.b, config
 
     # -- reporting ------------------------------------------------------------------
 

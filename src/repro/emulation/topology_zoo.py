@@ -3,16 +3,15 @@
 §4.2 emulates "the PoP-level global backbone of Hurricane Electric (HE),
 using data from Topology Zoo ... 24 PoPs".  The coordinates and adjacency
 below are transcribed from the Topology Zoo HE graph (2011 snapshot, 24
-nodes); a tiny GML-subset parser is included so users can load other Zoo
-graphs they have on disk.
+nodes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-__all__ = ["PoP", "ZooTopology", "hurricane_electric", "parse_gml"]
+__all__ = ["PoP", "ZooTopology", "hurricane_electric"]
 
 
 @dataclass(frozen=True)
@@ -119,66 +118,4 @@ def hurricane_electric() -> ZooTopology:
     """The 24-PoP HE backbone used by §4.2's emulation."""
     topology = ZooTopology(name="HurricaneElectric", pops=list(_HE_POPS), links=list(_HE_LINKS))
     topology.validate()
-    return topology
-
-
-def parse_gml(text: str) -> ZooTopology:
-    """Parse the GML subset Topology Zoo files use.
-
-    Handles ``node [ id N label "X" ... ]`` and ``edge [ source A target
-    B ]`` blocks; attributes beyond id/label/Latitude/Longitude/Country
-    are ignored.
-    """
-    tokens = text.replace("[", " [ ").replace("]", " ] ").split()
-    i = 0
-    pops: List[PoP] = []
-    links: List[Tuple[str, str]] = []
-    id_to_name: Dict[str, str] = {}
-    name = "zoo"
-
-    def parse_block(start: int) -> Tuple[Dict[str, str], int]:
-        assert tokens[start] == "["
-        fields: Dict[str, str] = {}
-        j = start + 1
-        while tokens[j] != "]":
-            key = tokens[j]
-            if tokens[j + 1] == "[":
-                _, j = parse_block(j + 1)  # nested: skip
-                continue
-            value = tokens[j + 1]
-            if value.startswith('"'):
-                while not value.endswith('"') or len(value) == 1:
-                    j += 1
-                    value += " " + tokens[j + 1]
-                value = value.strip('"')
-            fields[key] = value
-            j += 2
-        return fields, j + 1
-
-    while i < len(tokens):
-        token = tokens[i]
-        if token == "node" and i + 1 < len(tokens) and tokens[i + 1] == "[":
-            fields, i = parse_block(i + 1)
-            node_id = fields.get("id", str(len(pops)))
-            label = fields.get("label", node_id)
-            id_to_name[node_id] = label
-            pops.append(
-                PoP(
-                    name=label,
-                    city=label,
-                    country=fields.get("Country", ""),
-                    latitude=float(fields.get("Latitude", 0.0)),
-                    longitude=float(fields.get("Longitude", 0.0)),
-                )
-            )
-        elif token == "edge" and i + 1 < len(tokens) and tokens[i + 1] == "[":
-            fields, i = parse_block(i + 1)
-            links.append((id_to_name[fields["source"]], id_to_name[fields["target"]]))
-        elif token == "label" and not pops and i + 1 < len(tokens):
-            name = tokens[i + 1].strip('"')
-            i += 2
-        else:
-            i += 1
-
-    topology = ZooTopology(name=name, pops=pops, links=links)
     return topology

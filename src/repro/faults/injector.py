@@ -57,15 +57,6 @@ class FaultStats:
     duplicated: int = 0
     corrupted: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "seen": self.seen,
-            "dropped": self.dropped,
-            "delayed": self.delayed,
-            "duplicated": self.duplicated,
-            "corrupted": self.corrupted,
-        }
-
 
 class FaultInjector:
     """Seeded per-message fault interposer for a channel pair."""

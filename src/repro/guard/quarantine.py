@@ -72,9 +72,6 @@ class QuarantineManager:
     def quarantined(self) -> List[str]:
         return sorted(self._blocked)
 
-    def release_due(self, client_id: str) -> Optional[float]:
-        return self._blocked.get(client_id)
-
     def strike_count(self, client_id: str, now: float) -> int:
         window = self._strikes.get(client_id)
         if window is None:

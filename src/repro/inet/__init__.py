@@ -17,7 +17,6 @@ from .engine import (
 )
 from .gen import AmsIxConfig, Internet, InternetConfig, build_amsix, build_internet
 from .ixp import IXP, PeeringRequest, RemotePeeringProvider, RequestOutcome
-from .rootcause import PathChange, classify_changes, locate_root_cause
 from .routing import Announcement, ASRoute, OriginSpec, RouteKind, RoutingOutcome, propagate
 from .topology import (
     ASGraph,
@@ -50,9 +49,6 @@ __all__ = [
     "PeeringRequest",
     "RemotePeeringProvider",
     "RequestOutcome",
-    "PathChange",
-    "classify_changes",
-    "locate_root_cause",
     "Announcement",
     "ASRoute",
     "OriginSpec",

@@ -31,7 +31,7 @@ from typing import (
 )
 
 from .ixp import IXP
-from .topology import ASGraph, ASKind, ASNode, PeeringPolicy, Relationship
+from .topology import ASGraph, ASKind, ASNode, PeeringPolicy
 
 __all__ = [
     "InternetConfig",
@@ -41,7 +41,6 @@ __all__ = [
     "build_amsix",
     "build_caida_like",
     "load_caida_serial",
-    "dump_caida_serial",
     "degree_stats",
     "Internet",
 ]
@@ -873,43 +872,3 @@ def load_caida_serial(source: SerialSource) -> Internet:
         else:
             node.kind = ASKind.ACCESS
     return Internet(graph=graph)
-
-
-def dump_caida_serial(
-    graph: ASGraph,
-    path: Union[str, "os.PathLike[str]"],
-    comment: str = "repro.inet AS-relationship dump",
-) -> None:
-    """Write ``graph`` in the CAIDA AS-relationship serial format.
-
-    Edges stream in :meth:`ASGraph.relationship_edges` order, so the
-    bytes are a pure function of the graph and
-    ``load_caida_serial(path)`` reproduces the topology exactly
-    (relationships and ASNs; generator metadata is out of format).
-    ``.gz``/``.bz2`` suffixes compress transparently.
-    """
-    c2p: List[str] = []
-    p2p: List[str] = []
-    for a, b, rel in graph.relationship_edges():
-        if rel is Relationship.CUSTOMER_PROVIDER:
-            c2p.append(f"{b}|{a}|-1\n")  # serial code orients provider first
-        else:
-            p2p.append(f"{a}|{b}|0\n")
-    out = os.fspath(path)
-    fh: IO[str]
-    if out.endswith(".bz2"):
-        fh = bz2.open(out, "wt", encoding="utf-8")
-    elif out.endswith(".gz"):
-        fh = gzip.open(out, "wt", encoding="utf-8")
-    else:
-        fh = open(out, "w", encoding="utf-8")
-    with fh:
-        fh.write(f"# {comment}\n")
-        fh.write(
-            f"# {len(graph)} ASes | {len(c2p)} provider-customer edges"
-            f" | {len(p2p)} peer edges\n"
-        )
-        fh.write("# format: <provider-as>|<customer-as>|-1 "
-                 "or <peer-as>|<peer-as>|0\n")
-        fh.writelines(c2p)
-        fh.writelines(p2p)

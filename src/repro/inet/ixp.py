@@ -23,7 +23,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from .topology import ASGraph, ASNode, PeeringPolicy, TopologyError
 
@@ -95,7 +95,6 @@ class IXP:
         self.has_route_server = has_route_server
         self._members: Set[int] = set()
         self._route_server_members: Set[int] = set()
-        self._bilateral: Set[Tuple[int, int]] = set()
         # zlib.crc32, not hash(): str hashing is randomized per process
         # and would make peering outcomes differ between runs.
         self._rng = random.Random((zlib.crc32(name.encode()) & 0xFFFF) ^ seed)
@@ -123,9 +122,6 @@ class IXP:
 
     def non_route_server_members(self) -> Set[int]:
         return self._members - self._route_server_members
-
-    def is_member(self, asn: int) -> bool:
-        return asn in self._members
 
     def policy_census(self) -> Dict[PeeringPolicy, int]:
         """Peering-policy counts among members NOT on the route server —
@@ -185,7 +181,6 @@ class IXP:
             outcome = self._draw_outcome(policy)
             if outcome is RequestOutcome.ACCEPTED:
                 self.graph.add_peering(requester, target)
-                self._bilateral.add((min(requester, target), max(requester, target)))
         request = PeeringRequest(requester, target, outcome)
         self.request_log.append(request)
         return request
@@ -212,9 +207,6 @@ class IXP:
         if roll < accept + no_response + questions:
             return RequestOutcome.QUESTIONS
         return RequestOutcome.REJECTED
-
-    def bilateral_peerings(self) -> Set[Tuple[int, int]]:
-        return set(self._bilateral)
 
     def peers_of(self, asn: int) -> Set[int]:
         """Every IXP member adjacent to ``asn`` in the graph (route-server

@@ -108,7 +108,6 @@ class ASGraph:
         self._fz_neighbors: Dict[int, FrozenSet[int]] = {}
         self._sorted_providers: Dict[int, Tuple[int, ...]] = {}
         self._sorted_customers: Dict[int, Tuple[int, ...]] = {}
-        self._sorted_peers: Dict[int, Tuple[int, ...]] = {}
         self._in_batch = False
         self._batch_dirty = False
 
@@ -128,7 +127,6 @@ class ASGraph:
         self._fz_neighbors.clear()
         self._sorted_providers.clear()
         self._sorted_customers.clear()
-        self._sorted_peers.clear()
 
     @contextmanager
     def batch(self) -> Iterator["ASGraph"]:
@@ -266,12 +264,6 @@ class ASGraph:
             view = self._sorted_customers[asn] = tuple(sorted(self._customers[asn]))
         return view
 
-    def sorted_peers(self, asn: int) -> Tuple[int, ...]:
-        view = self._sorted_peers.get(asn)
-        if view is None:
-            view = self._sorted_peers[asn] = tuple(sorted(self._peers[asn]))
-        return view
-
     def adjacency(self) -> Tuple[Mapping[int, AbstractSet[int]], ...]:
         """The live ``(providers, customers, peers)`` maps, asn -> set.
 
@@ -305,9 +297,7 @@ class ASGraph:
 
         Customer-provider edges stream first as ``(customer, provider,
         CUSTOMER_PROVIDER)`` ordered by (customer, provider) ASN; peer
-        edges follow as ``(lo, hi, PEER)`` ordered by (lo, hi).  This is
-        the canonical ordering :func:`repro.inet.gen.dump_caida_serial`
-        writes, so dump → load round-trips are byte-stable.
+        edges follow as ``(lo, hi, PEER)`` ordered by (lo, hi).
         """
         for asn in sorted(self._nodes):
             for provider in sorted(self._providers[asn]):

@@ -173,7 +173,6 @@ class SecurityPolicy:
             deprefer_as_drop,
         )
         return CompiledSecurity(
-            verdicts=verdicts,
             drops=drops,
             bits=bits,
             pmask=pmask,
@@ -197,16 +196,12 @@ class CompiledSecurity:
     slot, carrying each path's mask along the parent pointers.
     """
 
-    verdicts: Mapping[int, ValidationState]
     drops: Mapping[int, FrozenSet[int]]  # origin ASN -> ASes refusing it
     bits: Mapping[int, int]  # tracked (protected/tier-1) ASN -> bit
     pmask: Mapping[int, int]  # locker ASN -> protected bitmask
     lite: FrozenSet[int]  # ASes applying Peerlock-lite
     t1mask: int
     fingerprint: Tuple[object, ...]
-
-    def verdict_of(self, origin_asn: int) -> ValidationState:
-        return self.verdicts.get(origin_asn, ValidationState.NOT_FOUND)
 
     def path_mask(self, asns: Iterable[int]) -> int:
         bits = self.bits

@@ -180,9 +180,6 @@ class LookingGlass:
         holders = self.testbed._announced.get(prefix, {})
         return {server: (client, spec) for server, (client, spec) in holders.items()}
 
-    def announcing_servers(self, prefix: Prefix) -> List[str]:
-        return sorted(self.origins(prefix))
-
     def neighbors(self, server: str) -> List[int]:
         """The peer/upstream ASNs of one mux."""
         return sorted(self.testbed.servers[server].neighbor_asns)
@@ -203,12 +200,6 @@ class LookingGlass:
                         str(c) for c in sorted(route.attributes.communities)
                     )
         return out
-
-    def monitored_prefixes(self, server: str) -> List[Prefix]:
-        if self.monitor is None:
-            return []
-        rib = self.monitor.rib(server)
-        return rib.prefixes() if rib is not None else []
 
     # -- rendering ------------------------------------------------------------
 

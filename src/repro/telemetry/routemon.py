@@ -15,10 +15,9 @@ registry (the analogue of BMP's Adj-RIB-Out / post-policy monitoring).
 
 The monitor keeps a per-mux monitored RIB built from the post-policy
 stream; :meth:`rib_routes` renders it as :class:`~repro.bgp.rib.Route`
-objects (steering communities encoded PEERING-style as ``ASN:peer``) and
-:meth:`dump_mrt` exports MRT TABLE_DUMP_V2 snapshots a RouteViews-style
-pipeline can ingest.  :class:`~repro.telemetry.lookingglass.LookingGlass`
-queries both this RIB and the converged substrate outcomes.
+objects (steering communities encoded PEERING-style as ``ASN:peer``).
+:class:`~repro.telemetry.lookingglass.LookingGlass` queries both this RIB
+and the converged substrate outcomes.
 
 No runtime imports from :mod:`repro.core` (this module is imported while
 core is still loading); server/spec objects are duck-typed.
@@ -29,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from typing import (
-    BinaryIO,
     Callable,
     Deque,
     Dict,
@@ -42,7 +40,6 @@ from typing import (
 
 from ..bgp.attributes import ASPath, Community, Origin, PathAttributes
 from ..bgp.messages import UpdateMessage
-from ..bgp.mrt import write_table_dump
 from ..bgp.rib import Route
 from ..bgp.session import BGPSession
 from ..net.addr import IPAddress, Prefix
@@ -351,18 +348,6 @@ class RouteMonitor:
     def rib(self, server: str) -> Optional[MonitoredRib]:
         return self._ribs.get(server)
 
-    def rib_snapshot(self, server: str) -> Dict[Prefix, Tuple[str, SpecLike]]:
-        """``{prefix: (client, spec)}`` post-policy view of one mux."""
-        rib = self._ribs.get(server)
-        if rib is None:
-            return {}
-        return {
-            prefix: (entry.client_id, entry.spec)
-            for prefix in rib.prefixes()
-            for entry in (rib.get(prefix),)
-            if entry is not None
-        }
-
     def of_kind(self, kind: BMPKind) -> List[RouteMonitorMessage]:
         return [m for m in self.messages if m.kind is kind]
 
@@ -383,9 +368,7 @@ class RouteMonitor:
         Steering state is encoded the way the production testbed does it:
         ``PEERING:peer`` communities select the peers the prefix goes to
         (peers above 16 bits cannot be community-encoded and are
-        omitted, like on a real wire).  Attribute content is restricted
-        to what the UPDATE codec round-trips, so :meth:`dump_mrt` output
-        re-parses to identical routes.
+        omitted, like on a real wire).
         """
         rib = self._ribs.get(server)
         if rib is None:
@@ -417,13 +400,3 @@ class RouteMonitor:
                 )
             )
         return routes
-
-    def dump_mrt(self, server: str, out: BinaryIO) -> int:
-        """Write one mux's monitored RIB as MRT TABLE_DUMP_V2.
-
-        Returns the number of RIB records written."""
-        rib = self._ribs.get(server)
-        address = rib.address if rib is not None else IPAddress(0, 4)
-        return write_table_dump(
-            out, int(self.clock()), address, self.rib_routes(server)
-        )

@@ -249,13 +249,6 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         return [s for s in self.finished if s.name == name]
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [
-            s
-            for s in self.spans_of(span.trace_id)
-            if s.parent_id == span.span_id
-        ]
-
     def tree(self, trace_id: int) -> List[Tuple[int, Span]]:
         """``(depth, span)`` pairs in depth-first start order — the render
         the example scripts print and the tests assert over."""

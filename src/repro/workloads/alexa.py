@@ -97,9 +97,6 @@ class WebEcosystem:
     resolver: Resolver
     graph: ASGraph
 
-    def all_resources(self) -> List[Resource]:
-        return [resource for site in self.sites for resource in site.resources]
-
     def distinct_fqdns(self) -> Set[str]:
         return {resource.fqdn for site in self.sites for resource in site.resources}
 

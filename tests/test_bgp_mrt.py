@@ -7,7 +7,6 @@ import pytest
 from repro.bgp import mrt
 from repro.bgp.attributes import ASPath, PathAttributes
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.rib import Route
 from repro.net.addr import IPAddress, Prefix
 
 
@@ -80,49 +79,3 @@ class TestUpdateRecords:
         record = mrt.MrtRecord(0, 99, 0, b"")
         with pytest.raises(ValueError):
             mrt.decode_update_record(record)
-
-
-class TestTableDump:
-    def routes(self):
-        return [
-            Route(
-                prefix=Prefix("184.164.224.0/24"),
-                attributes=PathAttributes(
-                    as_path=ASPath.from_asns([100 + i]),
-                    next_hop=IPAddress("10.0.0.1"),
-                ),
-                peer_asn=100 + i,
-                peer_id=f"10.0.0.{i + 1}",
-            )
-            for i in range(3)
-        ] + [
-            Route(
-                prefix=Prefix("184.164.225.0/24"),
-                attributes=PathAttributes(
-                    as_path=ASPath.from_asns([100]),
-                    next_hop=IPAddress("10.0.0.1"),
-                ),
-                peer_asn=100,
-                peer_id="10.0.0.1",
-            )
-        ]
-
-    def test_table_dump_structure(self):
-        out = io.BytesIO()
-        count = mrt.write_table_dump(
-            out, timestamp=5, collector_id=IPAddress("10.0.0.99"), routes=self.routes()
-        )
-        assert count == 2  # one RIB record per prefix
-        records = list(mrt.read_records(out.getvalue()))
-        assert records[0].subtype == mrt.TD2_PEER_INDEX
-        assert len(records) == 3  # index + 2 RIB records
-        assert all(r.type == mrt.MRT_TABLE_DUMP_V2 for r in records)
-
-    def test_empty_table(self):
-        out = io.BytesIO()
-        count = mrt.write_table_dump(
-            out, timestamp=0, collector_id=IPAddress("10.0.0.99"), routes=[]
-        )
-        assert count == 0
-        records = list(mrt.read_records(out.getvalue()))
-        assert len(records) == 1  # just the (empty) peer index

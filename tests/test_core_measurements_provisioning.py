@@ -1,4 +1,4 @@
-"""Tests for measurement collectors, provisioning, and MRT export."""
+"""Tests for measurement collectors and MRT export."""
 
 import pytest
 
@@ -6,12 +6,6 @@ from repro.bgp import mrt
 from repro.core import (
     ControlPlaneCollector,
     DataPlaneCollector,
-    MuxMode,
-    Provisioner,
-    ProvisioningDatabase,
-    RecordKind,
-    SiteConfig,
-    SiteKind,
     Testbed,
 )
 from repro.inet.gen import InternetConfig
@@ -100,75 +94,3 @@ class TestDataPlaneCollector:
         client.announce(client.prefixes[0], peers=[])  # announce to nobody
         observations = collector.collect()
         assert all(not o.delivered for o in observations)
-
-
-class TestProvisioning:
-    def test_database_upsert_and_history(self):
-        db = ProvisioningDatabase()
-        db.upsert(RecordKind.SITE, "x", country="US")
-        db.upsert(RecordKind.SITE, "x", country="NL")
-        assert db.lookup(RecordKind.SITE, "x").get("country") == "NL"
-        assert len(db.history(RecordKind.SITE, "x")) == 2
-        assert len(db) == 2
-
-    def test_record_existing_sites(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        count = provisioner.record_existing_sites()
-        assert count == 9
-        assert len(provisioner.db.all_of(RecordKind.SITE)) == 9
-
-    def test_deploy_site_records(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        transit = next(
-            node.asn for node in testbed.graph.nodes() if node.kind is ASKind.TRANSIT
-        )
-        record = provisioner.deploy_site(
-            SiteConfig(
-                name="mit01",
-                kind=SiteKind.UNIVERSITY,
-                country="US",
-                upstream_asns=(transit,),
-            )
-        )
-        assert record.get("site_kind") == "university"
-        assert "mit01" in testbed.servers
-
-    def test_deploy_client_workflow(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        client = provisioner.deploy_client(
-            "exp2", "bob", server_names=["gatech01"], mode=MuxMode.QUAGGA
-        )
-        assert client.prefixes
-        record = provisioner.db.lookup(RecordKind.CLIENT, "exp2")
-        assert record.get("servers") == "gatech01"
-        allocation = provisioner.db.lookup(
-            RecordKind.ALLOCATION, str(client.prefixes[0])
-        )
-        assert allocation.get("owner") == "exp2"
-
-    def test_decommission(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        client = provisioner.deploy_client("exp2", "bob", server_names=["gatech01"])
-        prefix = client.prefixes[0]
-        client.announce(prefix)
-        provisioner.decommission_client("exp2")
-        assert prefix not in testbed.announced_prefixes()
-        assert provisioner.db.lookup(RecordKind.CLIENT, "exp2").get("status") == "retired"
-
-    def test_decommission_unknown(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        with pytest.raises(ValueError):
-            provisioner.decommission_client("ghost")
-
-    def test_configure_peering_existing(self, world):
-        testbed, _client, _v = world
-        provisioner = Provisioner(testbed)
-        server = testbed.server("amsterdam01")
-        peer = sorted(server.neighbor_asns)[0]
-        record = provisioner.configure_peering("amsterdam01", peer)
-        assert record.get("status") == "already-peered"

@@ -372,6 +372,32 @@ class TestMuxModes:
         ]
         assert received
 
+    @pytest.mark.parametrize("mode", [MuxMode.QUAGGA, MuxMode.BIRD])
+    def test_relay_destination_only_selected_peers(self, fresh_testbed, mode):
+        """Both modes relay the routes of the peers the client selected,
+        and none of the others."""
+        server = fresh_testbed.server("amsterdam01")
+        selected = sorted(server.neighbor_asns)[: len(server.neighbor_asns) // 2]
+        dest = next(
+            node.asn
+            for node in fresh_testbed.graph.nodes()
+            if node.kind.value == "access"
+            and set(server.routes_toward(node.asn)) & set(selected)
+            and set(server.routes_toward(node.asn)) - set(selected)
+        )
+        expected = set(server.routes_toward(dest)) & set(selected)
+        client = fresh_testbed.register_client("exp1", "alice")
+        router = client.attach_bgp(
+            "amsterdam01", mode=mode, local_asn=65000, peer_asns=selected
+        )
+        dst_prefix = Prefix("203.0.113.0/24")
+        assert server.relay_destination("exp1", dest, dst_prefix) == len(expected)
+        first_hops = {
+            route.attributes.as_path.asns()[0]
+            for route in router.loc_rib.candidates(dst_prefix)
+        }
+        assert first_hops == expected
+
 
 class TestDisconnect:
     def test_disconnect_withdraws(self, fresh_testbed):

