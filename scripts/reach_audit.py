@@ -7,7 +7,11 @@ two sets of commands under a ``sys.setprofile`` hook that records each
 code object entered:
 
 * the system: every ``examples/*.py``, ``benchmarks/e2e/run.py --all
-  --smoke`` and the paper benches in ``PAPER_BENCHES``;
+  --smoke``, the paper benches in ``PAPER_BENCHES`` and the gated-bench
+  commands that ``ci.yml`` runs, at its sizes (``GATED_BENCHES``).  The
+  gated benches write their result JSON into the audit's temporary
+  directory and run without ``--check``, so a gate that is red cannot
+  stop the audit;
 * tier-1: ``pytest`` over ``tests/``, with the hook re-installed before
   each test, because some tests install a profile hook of their own.
 
@@ -15,7 +19,8 @@ A ``sitecustomize`` module in a temporary directory, first on
 ``PYTHONPATH``, installs the hook in every Python process, so it also
 sees the subprocesses ``run.py --all`` starts.  Each function is printed
 as ``system`` (reached by the system), ``tier1`` (reached only by
-tier-1) or ``none``, with its line count; the three totals come last.
+tier-1) or ``none``, with its line count; the three totals come last,
+once without the gated benches in the system and once with them.
 A command that exits non-zero stops the audit.  Stdlib only.
 """
 
@@ -37,6 +42,19 @@ PAPER_BENCHES = [
     "bench_table1_capabilities", "bench_fig2_memory", "bench_amsix_peering",
     "bench_amsix_reach", "bench_alexa_coverage", "bench_peer_exports",
     "bench_he_emulation", "bench_mux_modes", "bench_safety", "bench_steering",
+]
+# (script, arguments, result JSON name or None): ci.yml's gated-bench steps.
+GATED_BENCHES = [
+    ("bench_fault_recovery", [], "BENCH_fault_recovery.json"),
+    ("bench_convergence", None, None),
+    ("bench_propagation", ["--quick"], "BENCH_propagation.json"),
+    ("bench_propagation", ["--scale"], "BENCH_propagation_scale.json"),
+    ("bench_propagation", ["--scale", "--topology", "tests/data/caida-as-rel-150.txt"],
+     "BENCH_propagation_fixture.json"),
+    ("bench_telemetry_overhead", ["--quick"], "BENCH_telemetry.json"),
+    ("bench_secroute", ["--quick"], "BENCH_secroute.json"),
+    ("bench_flowspec", [], "BENCH_flowspec.json"),
+    ("bench_anycast", [], "BENCH_anycast.json"),
 ]
 
 _seen: set = set()
@@ -102,6 +120,17 @@ def reached(commands: list, tmp: Path, tag: str) -> set:
     return {(name, int(first)) for name, first in (line.split("\t") for line in lines)}
 
 
+def gated_commands(py: str, tmp: Path) -> list:
+    """ci.yml's gated-bench steps, writing into ``tmp``, without ``--check``."""
+    commands = []
+    for script, args, output in GATED_BENCHES:
+        if args is None:  # a pytest module
+            commands.append([py, "-m", "pytest", "-q", f"benchmarks/{script}.py"])
+        else:
+            commands.append([py, f"benchmarks/{script}.py", *args, "--output", str(tmp / output)])
+    return commands
+
+
 def main() -> int:
     py = sys.executable
     system = [[py, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))]
@@ -111,16 +140,21 @@ def main() -> int:
     funcs = index()
     with tempfile.TemporaryDirectory() as tmp:
         by_system = reached(system, Path(tmp), "system")
+        by_gates = reached(gated_commands(py, Path(tmp)), Path(tmp), "gates")
         by_tier1 = reached([[py, "-m", "pytest", "-q", "-p", "reach_audit"]], Path(tmp), "tier1")
-    totals = {"system": [0, 0], "tier1": [0, 0], "none": [0, 0]}
     for key, (name, lines) in sorted(funcs.items()):
-        kind = "system" if key in by_system else "tier1" if key in by_tier1 else "none"
-        totals[kind][0] += 1
-        totals[kind][1] += lines
+        kind = "system" if key in by_system | by_gates else "tier1" if key in by_tier1 else "none"
         print(f"{kind:6} {Path(key[0]).relative_to(SRC)}:{key[1]} {name} ({lines} lines)")
     print(f"\n{len(funcs)} functions in src/")
-    for kind, (count, lines) in totals.items():
-        print(f"  {kind:6} {count:5} functions {lines:6} lines")
+    for label, system_set in (("without", by_system), ("with", by_system | by_gates)):
+        totals = {"system": [0, 0], "tier1": [0, 0], "none": [0, 0]}
+        for key, (name, lines) in funcs.items():
+            kind = "system" if key in system_set else "tier1" if key in by_tier1 else "none"
+            totals[kind][0] += 1
+            totals[kind][1] += lines
+        print(f"{label} the gated benches:")
+        for kind, (count, lines) in totals.items():
+            print(f"  {kind:6} {count:5} functions {lines:6} lines")
     return 0
 
 

@@ -13,12 +13,12 @@ array-shaped so it scales to millions of clients:
 3. the service's multi-origin announcement converges once (or, for a
    batch of steering states, in one :meth:`propagate_many` sweep — the
    engine chains the batch through its delta regimes);
-4. a map is **one gather** of the compiled outcome's root array
-   (:meth:`~repro.inet.engine.CompiledOutcome.origin_spec_index`): the
-   origin-spec index that won each AS *is* the site index, because the
-   service emits one spec per site in site order, and the root array
-   holds -1 at unreached and origin slots.  Per-site totals are C-level
-   passes over that one per-entry tuple; no per-client dict is built.
+4. a map is **one gather** of the compiled outcome's root array, which
+   holds, per AS, the index of the origin spec its route descends from:
+   that index *is* the site index, because the service emits one spec
+   per site in site order, and the root array holds -1 at unreached and
+   origin slots.  Per-site totals are C-level passes over that one
+   per-entry tuple; no per-client dict is built.
 
 :meth:`CatchmentMap.diff` is the stability report: which client ASes
 flipped sites between two maps, how much volume moved along each
@@ -285,8 +285,8 @@ class CatchmentMap:
         return self.unserved_volume / self.total_volume if self.total_volume else 0.0
 
     def observe(self, service: AnycastService) -> None:
-        """Push this map's shares into the service's telemetry."""
-        service.record_shares(self.volume_shares())
+        """Record this map's shares as the service's last measured ones."""
+        service.last_shares = self.volume_shares()
 
     def entry_volumes(self, site: str) -> Dict[int, int]:
         """``{uplink asn: client volume}`` for one site — which uplink

@@ -308,7 +308,7 @@ class TrafficEngineer:
             imbalance_after=self.imbalance(final_shares),
             final_shares=final_shares,
         )
-        service.record_rebalance(report.summary())
+        service.last_rebalance = report.summary()
         return report
 
     # -- engine accounting -----------------------------------------------------
@@ -491,9 +491,8 @@ class TrafficEngineer:
         def keys(outcome: RoutingOutcome, rank: int) -> List[int]:
             solo = require_compiled(outcome)
             # A shift-regime outcome keeps its prepend shift pending (it
-            # applies to every reached, non-origin slot); folding it into
-            # the per-kind base reads the clients' plen instead of having
-            # spec_table() rebuild the whole plen array.
+            # applies to every reached, non-origin slot); fold it into the
+            # per-kind base instead of rebuilding the whole plen array.
             shift = solo._plen_shift
             base = _KIND_BASE
             if shift:

@@ -50,7 +50,6 @@ from ..net.addr import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.testbed import Testbed
-    from ..telemetry.metrics import MetricsRegistry
 
 __all__ = ["AnycastSite", "SiteSteering", "AnycastService", "ANYCAST_ASN"]
 
@@ -140,15 +139,10 @@ class AnycastService:
         }
         self._down: Set[str] = set()
         self._last_outcome: Optional[RoutingOutcome] = None
-        self.steering_changes = 0
-        # Set by catchment mapping / the traffic engineer; rendered by
-        # the looking glass.
+        # Set by CatchmentMap.observe / the traffic engineer; rendered by
+        # describe() for the looking glass.
         self.last_shares: Dict[str, float] = {}
         self.last_rebalance: Optional[Dict[str, object]] = None
-        self._share_gauges: Dict[str, object] = {}
-        self._changes_counter: Optional[object] = None
-        self._imbalance_gauge: Optional[object] = None
-        self._metrics: Optional["MetricsRegistry"] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -235,9 +229,7 @@ class AnycastService:
         """Replace one site's steering state."""
         site = self.site(name)
         self._validate_steering(site, steering)
-        if steering != self._steering[name]:
-            self._steering[name] = steering
-            self._bump_changes()
+        self._steering[name] = steering
 
     def adjust(self, name: str, **changes: object) -> SiteSteering:
         """``steer`` with keyword deltas (``prepend=2``, ``poison=(...)``,
@@ -263,19 +255,10 @@ class AnycastService:
             if len(self.active_site_names()) == 1:
                 raise ValueError("cannot fail the last live site")
             self._down.add(name)
-            self._bump_changes()
 
     def restore_site(self, name: str) -> None:
         self.site(name)
-        if name in self._down:
-            self._down.discard(name)
-            self._bump_changes()
-
-    def _bump_changes(self) -> None:
-        self.steering_changes += 1
-        counter = self._changes_counter
-        if counter is not None:
-            counter.inc()  # type: ignore[attr-defined]
+        self._down.discard(name)
 
     def down_sites(self) -> Tuple[str, ...]:
         return tuple(sorted(self._down))
@@ -348,46 +331,6 @@ class AnycastService:
         :meth:`outcome` call (the engineer applies the winning candidate's
         already-computed outcome instead of reconverging)."""
         self._last_outcome = outcome
-
-    # -- telemetry -------------------------------------------------------------
-
-    def bind_metrics(self, metrics: "MetricsRegistry") -> None:
-        """Export catchment/steering gauges:
-        ``peering_anycast_site_volume_share{site=...}``,
-        ``peering_anycast_steering_changes_total``, and
-        ``peering_anycast_rebalance_imbalance``."""
-        self._metrics = metrics
-        gauge = metrics.gauge(
-            "peering_anycast_site_volume_share",
-            "Fraction of client volume landing at each anycast site",
-            ("site",),
-        )
-        self._share_gauges = {s.name: gauge.labels(s.name) for s in self.sites}
-        self._changes_counter = metrics.counter(
-            "peering_anycast_steering_changes_total",
-            "Anycast steering state changes applied",
-        ).labels()
-        self._imbalance_gauge = metrics.gauge(
-            "peering_anycast_rebalance_imbalance",
-            "Volume imbalance vs targets after the last rebalance",
-        ).labels()
-
-    def record_shares(self, shares: Mapping[str, float]) -> None:
-        """Adopt a computed catchment's per-site volume shares (called by
-        :meth:`repro.anycast.catchment.CatchmentMap.observe`)."""
-        self.last_shares = dict(shares)
-        for name, value in shares.items():
-            child = self._share_gauges.get(name)
-            if child is not None:
-                child.set(value)  # type: ignore[attr-defined]
-
-    def record_rebalance(self, summary: Dict[str, object]) -> None:
-        """Adopt a rebalance report summary (called by the engineer)."""
-        self.last_rebalance = summary
-        gauge = self._imbalance_gauge
-        after = summary.get("imbalance_after")
-        if gauge is not None and isinstance(after, (int, float)):
-            gauge.set(float(after))  # type: ignore[attr-defined]
 
     # -- reporting -------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from ..net.addr import IPAddress
 
@@ -148,9 +148,6 @@ class ASPath:
 
     def __str__(self) -> str:
         return " ".join(str(segment) for segment in self.segments) or "(empty)"
-
-    def __len__(self) -> int:
-        return self.length()
 
 
 @dataclass(frozen=True, order=True)

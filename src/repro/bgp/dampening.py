@@ -4,8 +4,8 @@ PEERING servers apply flap damping to client announcements so a misbehaving
 experiment cannot subject real peers to an update storm (§3 "Enforcing
 safety").  The implementation follows the RFC's figure-of-merit model:
 
-* each (peer, prefix) accumulates a penalty on withdrawal (1000),
-  re-announcement (500), and attribute change (500);
+* each (peer, prefix) accumulates a penalty on withdrawal (1000) and
+  re-announcement (500);
 * the penalty decays exponentially with a configurable half-life;
 * when the penalty crosses ``suppress_threshold`` the route is suppressed;
   it is reused once the decayed penalty falls below ``reuse_threshold``;
@@ -16,7 +16,7 @@ safety").  The implementation follows the RFC's figure-of-merit model:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..net.addr import Prefix
@@ -25,7 +25,6 @@ __all__ = ["DampeningConfig", "FlapState", "RouteFlapDamper"]
 
 PENALTY_WITHDRAWAL = 1000.0
 PENALTY_REANNOUNCE = 500.0
-PENALTY_ATTRIBUTE_CHANGE = 500.0
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,8 @@ class FlapState:
 class RouteFlapDamper:
     """Tracks flap penalties per (peer, prefix) key.
 
-    Usage: call :meth:`record_withdrawal` / :meth:`record_announcement` /
-    :meth:`record_attribute_change` as events arrive; consult
-    :meth:`is_suppressed` before propagating.
+    Usage: call :meth:`record_withdrawal` / :meth:`record_announcement`
+    as events arrive; consult :meth:`is_suppressed` before propagating.
     """
 
     def __init__(self, config: Optional[DampeningConfig] = None) -> None:
@@ -118,10 +116,6 @@ class RouteFlapDamper:
         for key in keys:
             del self._state[key]
         return len(keys)
-
-    def record_attribute_change(self, peer: str, prefix: Prefix, now: float) -> bool:
-        self._bump((peer, prefix), PENALTY_ATTRIBUTE_CHANGE, now)
-        return self.is_suppressed(peer, prefix, now)
 
     def _refresh(self, key: Tuple[str, Prefix], now: float) -> bool:
         """Apply decay; un-suppress when below reuse threshold.  Returns

@@ -17,9 +17,9 @@ Simplifications relative to a kernel-adjacent implementation:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..net.addr import IPAddress, Prefix
 from .attributes import (

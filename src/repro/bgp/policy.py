@@ -19,7 +19,7 @@ The pieces compose like their router-CLI namesakes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..net.addr import Prefix
 from ..secroute.rpki import RoaRegistry, ValidationState

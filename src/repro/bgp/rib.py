@@ -14,7 +14,7 @@ originated).  The three RIB stages follow RFC 4271 §3.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..net.addr import Prefix
@@ -91,14 +91,8 @@ class AdjRIBIn:
             del self._routes[prefix]
         return route
 
-    def get(self, prefix: Prefix, path_id: Optional[int] = None) -> Optional[Route]:
-        return self._routes.get(prefix, {}).get(path_id)
-
     def routes_for(self, prefix: Prefix) -> List[Route]:
         return list(self._routes.get(prefix, {}).values())
-
-    def prefixes(self) -> Iterator[Prefix]:
-        return iter(self._routes)
 
     def routes(self) -> Iterator[Route]:
         for slot in self._routes.values():
@@ -210,9 +204,6 @@ class AdjRIBOut:
             self._routes.pop(prefix, None)
         return route
 
-    def get(self, prefix: Prefix, path_id: Optional[int] = None) -> Optional[Route]:
-        return self._routes.get(prefix, {}).get(path_id)
-
     def path_ids(self, prefix: Prefix) -> List[Optional[int]]:
         return list(self._routes.get(prefix, {}).keys())
 
@@ -227,15 +218,9 @@ class AdjRIBOut:
         self._routes.clear()
         return dropped
 
-    def prefixes(self) -> Iterator[Prefix]:
-        return iter(self._routes)
-
     def routes(self) -> Iterator[Route]:
         for slot in self._routes.values():
             yield from slot.values()
-
-    def __len__(self) -> int:
-        return sum(len(slot) for slot in self._routes.values())
 
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix in self._routes

@@ -19,8 +19,8 @@ memory.  It implements:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.addr import IPAddress, Prefix
 from ..net.channel import ChannelPair, Endpoint
@@ -84,7 +84,6 @@ class _Peer:
         # RFC 4724: armed when the peer goes down gracefully; flushes the
         # stale-retained routes if the peer does not come back in time.
         self.restart_deadline: Optional[Timer] = None
-        self.graceful_downs = 0
         self.stale_flushes = 0
         self._path_ids = itertools.count(1)
         self._assigned_ids: Dict[Tuple[str, Optional[int]], int] = {}
@@ -131,7 +130,6 @@ class BGPRouter:
         # metric (step 8 of the decision process).  Installed by the
         # emulation layer; None means all metrics are 0.
         self.resolve_igp_metric: Optional[Callable[[IPAddress], int]] = None
-        self.rejected_loops = 0
         self.rejected_policy = 0
 
     # -- peer management -----------------------------------------------------
@@ -176,12 +174,6 @@ class BGPRouter:
 
     def peers(self) -> List[str]:
         return list(self._peers)
-
-    def start(self) -> None:
-        """Start every non-passive session."""
-        for peer in self._peers.values():
-            if not peer.config.passive:
-                peer.session.start()
 
     # -- local origination -----------------------------------------------------
 
@@ -249,7 +241,6 @@ class BGPRouter:
     ) -> bool:
         """Validate + apply import policy + install into Adj-RIB-In."""
         if attributes.as_path.contains(self.asn):
-            self.rejected_loops += 1
             return peer.adj_in.remove(prefix, path_id) is not None
         if attributes.originator_id == self.router_id:
             return peer.adj_in.remove(prefix, path_id) is not None
@@ -314,7 +305,6 @@ class BGPRouter:
     def _retain_peer_routes(self, peer: _Peer) -> None:
         """RFC 4724 graceful restart: keep the peer's routes, stale-marked,
         until it re-advertises, sends End-of-RIB, or the deadline passes."""
-        peer.graceful_downs += 1
         peer.adj_in.mark_all_stale()
         peer.adj_out.clear()
         peer.pending_announce.clear()
@@ -401,7 +391,7 @@ class BGPRouter:
             attributes = attributes.with_next_hop(config.local_address)
             # Reflection state is iBGP-internal.
             if attributes.originator_id is not None or attributes.cluster_list:
-                attributes = _strip_reflection(attributes)
+                attributes = replace(attributes, originator_id=None, cluster_list=())
         else:
             if route.local or config.next_hop_self_ibgp or attributes.next_hop is None:
                 attributes = attributes.with_next_hop(config.local_address)
@@ -556,12 +546,6 @@ def _originator_of(route: Route, default: IPAddress) -> IPAddress:
         return IPAddress(route.peer_id)
     except Exception:
         return default
-
-
-def _strip_reflection(attributes: PathAttributes) -> PathAttributes:
-    from dataclasses import replace
-
-    return replace(attributes, originator_id=None, cluster_list=())
 
 
 def connect_routers(

@@ -21,14 +21,14 @@ a ConnectRetry failure and backs off further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..net.addr import IPAddress, Prefix
 from ..net.channel import ChannelClosed, Endpoint
 from ..sim.engine import Engine, Timer
 from .attributes import PathAttributes
-from .errors import BGPError, ErrorCode, OpenError, OpenSub
+from .errors import BGPError, ErrorCode, OpenSub
 from .fsm import BGPStateMachine, FsmEvent, State
 from .messages import (
     _KEEPALIVE,
@@ -140,7 +140,6 @@ class BGPSession:
         self.add_path_active = False
         self.gr_active = False
         self.peer_restart_time: Optional[int] = None
-        self.peer_open: Optional[OpenMessage] = None
 
         self._hold_timer: Timer = engine.timer(
             max(1, config.hold_time), self._hold_expired, label=f"hold:{config.description}"
@@ -399,7 +398,6 @@ class BGPSession:
                 pass
             self._teardown(f"bad peer AS {message.real_asn}", False, graceful=False)
             return
-        self.peer_open = message
         self.negotiated_hold_time = min(self.config.hold_time, message.hold_time)
         self.add_path_active = self.config.add_path and message.supports_add_path
         self.gr_active = (

@@ -12,7 +12,7 @@ reusable and fragmentation is handled naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from ..net.addr import IPAddress, Prefix
@@ -51,9 +51,6 @@ class PrefixPool:
             if existing.overlaps(supernet):
                 raise AllocationError(f"{supernet} overlaps pool block {existing}")
         self._supernets[supernet.version].append(supernet)
-
-    def supernets(self, version: int = 4) -> List[Prefix]:
-        return list(self._supernets[version])
 
     def allocate(
         self,
@@ -105,12 +102,6 @@ class PrefixPool:
 
     def allocations_for(self, owner: str) -> List[Allocation]:
         return list(self._by_owner.get(owner, []))
-
-    def allocations(self) -> List[Allocation]:
-        out: List[Allocation] = []
-        for trie in self._allocated.values():
-            out.extend(trie.values())
-        return out
 
     def contains(self, prefix: Prefix) -> bool:
         """True if ``prefix`` falls inside any pool supernet — the mux's

@@ -17,7 +17,7 @@ real BGP sessions, then drives experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..bgp.router import BGPRouter, PeerConfig
 from ..bgp.session import BGPSession
@@ -298,12 +298,6 @@ class PeeringClient:
                 attachment = self._require(server_name)
                 attachment.server.withdraw(self.client_id, prefix)
 
-    def announcements(self) -> Dict[str, Dict[Prefix, AnnouncementSpec]]:
-        return {
-            name: attachment.server.announcements_for(self.client_id)
-            for name, attachment in self.attachments.items()
-        }
-
     def routes_toward(self, destination_asn: int) -> Dict[str, Dict[int, ASRoute]]:
         """Per-server, per-peer routes for a destination AS."""
         return {
@@ -334,7 +328,3 @@ class PeeringClient:
         attachment = self._require(server_name)
         packet = Packet(src=src, dst=dst, proto="icmp-echo")
         return self.testbed.inject_packet(attachment.server, self.client_id, packet)
-
-    def traceroute(self, dst: IPAddress, via: Optional[str] = None) -> List[int]:
-        """AS-level forward path from PEERING to ``dst``."""
-        return list(self.ping(dst, via=via).path)

@@ -19,8 +19,8 @@ and measurement rounds in simulated time.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..bgp import mrt
 from ..bgp.attributes import ASPath, PathAttributes
@@ -95,15 +95,6 @@ class ControlPlaneCollector:
         for i in range(1, rounds + 1):
             self.testbed.engine.schedule(interval * i, self.collect, label="cp-collect")
 
-    def reachability_matrix(self) -> Dict[Prefix, Dict[int, bool]]:
-        """Latest observation per (prefix, vantage)."""
-        matrix: Dict[Prefix, Dict[int, bool]] = {}
-        for observation in self.observations:
-            matrix.setdefault(observation.prefix, {})[observation.vantage_asn] = (
-                observation.reachable
-            )
-        return matrix
-
     def export_mrt(self) -> bytes:
         """The observation log as BGP4MP records (one per observation)."""
         out = io.BytesIO()
@@ -163,11 +154,3 @@ class DataPlaneCollector:
     def schedule_rounds(self, interval: float, rounds: int) -> None:
         for i in range(1, rounds + 1):
             self.testbed.engine.schedule(interval * i, self.collect, label="dp-collect")
-
-    def delivery_rate(self, prefix: Optional[Prefix] = None) -> float:
-        relevant = [
-            o for o in self.observations if prefix is None or o.prefix == prefix
-        ]
-        if not relevant:
-            return 0.0
-        return sum(1 for o in relevant if o.delivered) / len(relevant)

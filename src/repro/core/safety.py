@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..bgp.attributes import ASPath, is_private_asn
 from ..bgp.dampening import DampeningConfig, RouteFlapDamper
-from ..net.addr import IPAddress, Prefix
+from ..net.addr import Prefix
 from ..net.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -131,7 +131,6 @@ class SafetyEnforcer:
         # bound by the owning server via :meth:`bind_metrics`.  Optional —
         # a standalone enforcer records audit entries only.
         self._decision_counter: Optional["Counter"] = None
-        self._metrics_server = ""
         # Label children resolved once at bind time — log_decision sits on
         # the per-update hot path and the verdict set is closed.
         self._verdict_children: Dict[SafetyVerdict, "CounterChild"] = {}
@@ -144,7 +143,6 @@ class SafetyEnforcer:
             "Safety audit decisions by mux and verdict",
             ("server", "verdict"),
         )
-        self._metrics_server = server
         self._verdict_children = {
             verdict: self._decision_counter.labels(server, verdict.value)
             for verdict in SafetyVerdict

@@ -15,9 +15,9 @@ measurements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.addr import Prefix
 from ..sim.engine import Engine
@@ -124,9 +124,6 @@ class AnnouncementScheduler:
             self._finish_task(task)
         task.status = ScheduleStatus.CANCELLED
         self._notify(task, "cancelled")
-
-    def task(self, task_id: int) -> ScheduledTask:
-        return self._tasks[task_id]
 
     def tasks_for(self, client_id: str) -> List[ScheduledTask]:
         return [t for t in self._tasks.values() if t.client_id == client_id]

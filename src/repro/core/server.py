@@ -27,9 +27,9 @@ core trick for giving researchers peer-level control (§3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set, Tuple
 
 from ..bgp.attributes import ASPath, Origin, PathAttributes
 from ..bgp.errors import BGPError
@@ -118,14 +118,11 @@ class _ClientAttachment:
         self.mode = mode
         self.tunnel = tunnel
         self.tunnel_endpoint = local
-        self.sessions: Dict[int, BGPSession] = {}  # peer asn -> session (QUAGGA)
-        self.bird_session: Optional[BGPSession] = None
+        # peer asn -> session (QUAGGA), or 0 -> the one ADD-PATH session (BIRD)
+        self.sessions: Dict[int, BGPSession] = {}
         self.path_id_by_peer: Dict[int, int] = {}
         self.peer_by_path_id: Dict[int, int] = {}
         self.announcements: Dict[Prefix, AnnouncementSpec] = {}
-
-    def session_count(self) -> int:
-        return len(self.sessions) + (1 if self.bird_session is not None else 0)
 
     def path_id_for(self, peer_asn: int) -> int:
         if peer_asn not in self.path_id_by_peer:
@@ -156,7 +153,6 @@ class PeeringServer:
         self.neighbor_asns: Set[int] = set()
         self._clients: Dict[str, _ClientAttachment] = {}
         self._next_tunnel_host = 1
-        self.updates_relayed = 0
         self._relayed_counter = testbed.metrics.counter(
             "peering_updates_relayed_total",
             "Per-peer routes relayed down client sessions",
@@ -223,9 +219,6 @@ class PeeringServer:
             "total_neighbors": len(self.neighbor_asns),
         }
 
-    def peers(self) -> Set[int]:
-        return set(self.neighbor_asns)
-
     # -- client attachment --------------------------------------------------------
 
     def connect_client(
@@ -269,31 +262,17 @@ class PeeringServer:
         attachment = _ClientAttachment(client_id, mode, tunnel, local)
         self._clients[client_id] = attachment
 
-        endpoints: Dict[int, Endpoint] = {}
-        if mode is MuxMode.QUAGGA:
-            # One session per upstream peer: the client sees each peer as
-            # if directly connected (§3).
+        # QUAGGA: one session per selected peer, keyed by its ASN, so the
+        # client sees each peer as if directly connected (§3).  BIRD: one
+        # ADD-PATH session, keyed 0, and a path id per selected peer.
+        bird = mode is MuxMode.BIRD
+        if bird:
             for peer_asn in sorted(selected):
-                pair = ChannelPair(f"{self.site.name}:{client_id}:{peer_asn}")
-                session = BGPSession(
-                    self.engine,
-                    SessionConfig(
-                        local_asn=self.asn,
-                        peer_asn=client_asn,
-                        local_id=self.address,
-                        passive=True,
-                        graceful_restart=graceful_restart,
-                        restart_time=restart_time,
-                        description=f"{self.site.name}/{client_id}/AS{peer_asn}",
-                    ),
-                    pair.a,
-                )
-                session.on_update = self._update_handler(attachment, peer_asn)
-                self._arm_end_of_rib(session)
-                attachment.sessions[peer_asn] = session
-                endpoints[peer_asn] = pair.b
-        else:
-            pair = ChannelPair(f"{self.site.name}:{client_id}:bird")
+                attachment.path_id_for(peer_asn)
+        endpoints: Dict[int, Endpoint] = {}
+        for key in [0] if bird else sorted(selected):
+            name = "bird" if bird else f"AS{key}"
+            pair = ChannelPair(f"{self.site.name}:{client_id}:{'bird' if bird else key}")
             session = BGPSession(
                 self.engine,
                 SessionConfig(
@@ -301,26 +280,22 @@ class PeeringServer:
                     peer_asn=client_asn,
                     local_id=self.address,
                     passive=True,
-                    add_path=True,
+                    add_path=bird,
                     graceful_restart=graceful_restart,
                     restart_time=restart_time,
-                    description=f"{self.site.name}/{client_id}/bird",
+                    description=f"{self.site.name}/{client_id}/{name}",
                 ),
                 pair.a,
             )
-            session.on_update = self._update_handler(attachment, None)
+            session.on_update = self._update_handler(attachment, key or None)
             self._arm_end_of_rib(session)
-            attachment.bird_session = session
-            for peer_asn in sorted(selected):
-                attachment.path_id_for(peer_asn)
-            endpoints[0] = pair.b
+            attachment.sessions[key] = session
+            endpoints[key] = pair.b
         telemetry = self.testbed.telemetry
         if telemetry is not None:
-            for peer_asn, session in attachment.sessions.items():
-                telemetry.attach_session(self.site.name, client_id, peer_asn, session)
-            if attachment.bird_session is not None:
-                telemetry.attach_session(
-                    self.site.name, client_id, None, attachment.bird_session
+            for key, session in attachment.sessions.items():
+                telemetry.monitor.attach_session(
+                    self.site.name, client_id, key or None, session
                 )
         return remote, endpoints
 
@@ -346,8 +321,6 @@ class PeeringServer:
             )
         for session in attachment.sessions.values():
             session.stop("client disconnected")
-        if attachment.bird_session is not None:
-            attachment.bird_session.stop("client disconnected")
         attachment.tunnel.take_down()
         for prefix in list(attachment.announcements):
             # record=False: the disconnect record subsumes these in replay.
@@ -367,10 +340,6 @@ class PeeringServer:
             if session.endpoint is not None and not session.endpoint.closed:
                 session.drop("supervision teardown")
                 dropped += 1
-        bird = attachment.bird_session
-        if bird is not None and bird.endpoint is not None and not bird.endpoint.closed:
-            bird.drop("supervision teardown")
-            dropped += 1
         return dropped
 
     # -- crash / restart ---------------------------------------------------------
@@ -394,9 +363,6 @@ class PeeringServer:
         for attachment in self._clients.values():
             for session in attachment.sessions.values():
                 session.drop("mux crashed")
-            bird = attachment.bird_session
-            if bird is not None:
-                bird.drop("mux crashed")
             attachment.tunnel.take_down()
             for prefix in list(attachment.announcements):
                 # Registry only, and record=False: a crash is not a client
@@ -478,7 +444,7 @@ class PeeringServer:
             return None
         if self.guard is not None and not self.guard.allows_reprovision(self, client_id):
             return None
-        session = attachment.bird_session if key == 0 else attachment.sessions.get(key)
+        session = attachment.sessions.get(key)
         if session is None:
             return None
         if session.endpoint is not None and session.endpoint.connected:
@@ -499,8 +465,8 @@ class PeeringServer:
 
     def client_session_count(self, client_id: Optional[str] = None) -> int:
         if client_id is not None:
-            return self._clients[client_id].session_count()
-        return sum(a.session_count() for a in self._clients.values())
+            return len(self._clients[client_id].sessions)
+        return sum(len(a.sessions) for a in self._clients.values())
 
     def _tunnel_address(self) -> IPAddress:
         address = self.TUNNEL_NET.address + self._next_tunnel_host
@@ -819,13 +785,12 @@ class PeeringServer:
                     session.announce([prefix], attributes)
                     sent += 1
             else:
-                session = attachment.bird_session
+                session = attachment.sessions.get(0)
                 # connect_client gave each selected peer a path id, and only those.
                 path_id = attachment.path_id_by_peer.get(peer_asn)
                 if session is not None and session.established and path_id is not None:
                     session.announce([prefix], attributes, path_ids=[path_id])
                     sent += 1
-        self.updates_relayed += sent
         if sent:
             self._relayed_counter.inc(sent)
         return sent
@@ -849,4 +814,3 @@ class PeeringServer:
             return False
         attachment.tunnel_endpoint.send(packet)
         return True
-

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..net.addr import IPAddress, Prefix
 from ..net.packet import Packet
@@ -184,10 +184,8 @@ class ServiceVM:
 
     name: str
     handler: Callable[[Packet], Verdict]
-    packets_seen: int = 0
 
     def process(self, packet: Packet) -> Verdict:
-        self.packets_seen += 1
         return self.handler(packet)
 
 

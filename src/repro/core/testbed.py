@@ -15,7 +15,6 @@ Phoenix-IX server added in September 2014.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..inet.dataplane import DataPlane, Delivery, DeliveryStatus
@@ -32,7 +31,7 @@ from ..telemetry.tracing import SpanContext, Tracer, maybe_span
 from .alerts import EventBus
 from .allocation import PrefixPool
 from .experiment import AdvisoryBoard, Experiment, ExperimentError, ExperimentStatus
-from .server import AnnouncementSpec, MuxMode, PeeringServer, SiteConfig, SiteKind, spec_to_tuple
+from .server import AnnouncementSpec, PeeringServer, SiteConfig, SiteKind, spec_to_tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.breaker import BreakerConfig
@@ -40,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..guard.quarantine import QuarantineConfig
     from ..guard.supervisor import Supervisor
     from ..guard.watchdog import WatchdogConfig
-    from ..secroute.rpki import RoaRegistry
     from ..telemetry.collector import Collector
 
 __all__ = ["Testbed", "PEERING_ASN", "PEERING_SUPERNET"]
@@ -118,8 +116,6 @@ class Testbed:
         # Supervision layer (repro.guard), wired by :meth:`supervise`.
         self.guard: Optional["Supervisor"] = None
         self.journal: Optional["ControlJournal"] = None
-        # ROA registry (repro.secroute), wired by :meth:`adopt_roas`.
-        self.roas: Optional["RoaRegistry"] = None
 
         if asn not in self.graph:
             self.graph.add_as(
@@ -226,8 +222,6 @@ class Testbed:
             self.guard.adopt_server(server)
         if self.telemetry is not None:
             self.telemetry.adopt_server(server)
-        if self.roas is not None:
-            server.safety.bind_roas(self.roas, self.asn)
         return server
 
     def server(self, name: str) -> PeeringServer:
@@ -370,14 +364,6 @@ class Testbed:
             if name != own:
                 foreign.update(experiment.prefixes)
         return foreign
-
-    def adopt_roas(self, registry: "RoaRegistry") -> None:
-        """Vet every mux's client announcements against ``registry`` (the
-        same ROA database the substrate's ROV deployment reads), with the
-        testbed's public ASN as the origin the Internet sees."""
-        self.roas = registry
-        for server in self.servers.values():
-            server.safety.bind_roas(registry, self.asn)
 
     # -- announcement registry ---------------------------------------------------------
 
@@ -609,8 +595,6 @@ class Testbed:
             "pool_free_slash24": self.pool.free_count(),
             "propagation": self.propagation.stats(),
         }
-        if self.guard is not None:
-            summary["guard"] = self.guard.stats()
         if self.telemetry is not None:
             summary["telemetry"] = self.telemetry.stats()
         return summary

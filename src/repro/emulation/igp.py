@@ -10,8 +10,8 @@ of the OSPF daemon MinineXt runs in each container.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["IGPError", "LinkStateDatabase", "SPFResult"]
 
@@ -68,14 +68,6 @@ class LinkStateDatabase:
     def remove_link(self, a: str, b: str) -> None:
         self._links.get(a, {}).pop(b, None)
         self._links.get(b, {}).pop(a, None)
-
-    def nodes(self) -> Set[str]:
-        return set(self._nodes)
-
-    def neighbors(self, name: str) -> Dict[str, float]:
-        if name not in self._nodes:
-            raise IGPError(f"unknown node {name!r}")
-        return dict(self._links[name])
 
     def link_count(self) -> int:
         return sum(len(peers) for peers in self._links.values()) // 2

@@ -89,9 +89,6 @@ class MinineXt:
     def container(self, name: str) -> Container:
         return self._require(name)
 
-    def containers(self) -> List[str]:
-        return list(self._containers)
-
     def _require(self, name: str) -> Container:
         try:
             return self._containers[name]

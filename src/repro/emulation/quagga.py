@@ -22,9 +22,9 @@ tracemalloc), so the figure can be regenerated from either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..net.addr import IPAddress, Prefix
+from ..net.addr import Prefix
 from ..bgp.router import BGPRouter
 
 __all__ = ["QuaggaMemoryModel", "QuaggaService"]
@@ -63,14 +63,6 @@ class QuaggaService:
     container: str
     router: BGPRouter
     originated: List[Prefix] = field(default_factory=list)
-
-    @property
-    def asn(self) -> int:
-        return self.router.asn
-
-    @property
-    def router_id(self) -> IPAddress:
-        return self.router.router_id
 
     def originate(self, prefix: Prefix, **kwargs) -> None:
         self.router.originate(prefix, **kwargs)

@@ -11,12 +11,11 @@ the same faults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..net.channel import ChannelPair, Endpoint
 from ..sim.engine import Engine
-from ..telemetry.metrics import Counter, MetricsRegistry
 
 __all__ = ["FaultConfig", "FaultStats", "FaultInjector"]
 
@@ -73,21 +72,6 @@ class FaultInjector:
         self.active = True
         self.stats = FaultStats()
         self._rng = engine.rng(f"fault:{label}")
-        self._fault_counter: Optional[Counter] = None
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> "FaultInjector":
-        """Mirror :class:`FaultStats` onto
-        ``peering_faults_injected_total{injector=,action=}``."""
-        self._fault_counter = metrics.counter(
-            "peering_faults_injected_total",
-            "Channel fault injections by injector and action",
-            ("injector", "action"),
-        )
-        return self
-
-    def _count(self, action: str) -> None:
-        if self._fault_counter is not None:
-            self._fault_counter.labels(self.label, action).inc()
 
     def attach(self, pair: ChannelPair) -> "FaultInjector":
         for endpoint in pair:
@@ -110,28 +94,23 @@ class FaultInjector:
             return
         config, rng = self.config, self._rng
         self.stats.seen += 1
-        self._count("seen")
         if config.drop_rate and rng.random() < config.drop_rate:
             self.stats.dropped += 1
-            self._count("dropped")
             return
         payload = data
         if config.corrupt_rate and rng.random() < config.corrupt_rate:
             payload = self._corrupt(payload)
             self.stats.corrupted += 1
-            self._count("corrupted")
         copies = 1
         if config.duplicate_rate and rng.random() < config.duplicate_rate:
             copies = 2
             self.stats.duplicated += 1
-            self._count("duplicated")
         for _ in range(copies):
             delay = config.delay
             if config.jitter:
                 delay += rng.random() * config.jitter
             if delay > 0:
                 self.stats.delayed += 1
-                self._count("delayed")
                 self.engine.schedule(
                     delay,
                     lambda p=payload: forward(p),

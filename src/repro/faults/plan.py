@@ -8,8 +8,8 @@ testbed operators actually see:
 * :meth:`sever_link` — a one-off transport cut (sessions reconnect
   immediately over a fresh channel);
 * :meth:`partition` — several links down together, healing together;
-* :meth:`crash_mux` / :meth:`restart_mux` — a PEERING server process
-  dies and (optionally) comes back.
+* :meth:`crash_mux` — a PEERING server process dies and (optionally)
+  comes back.
 
 Everything is driven through :class:`~repro.sim.engine.Engine`, so a plan
 plus a seed reproduces the identical event sequence run after run — the
@@ -132,10 +132,6 @@ class FaultPlan:
         self._at(at, "wedge", server.site.name, server.wedge)
         return self
 
-    def restart_mux(self, server: "PeeringServer", at: float) -> "FaultPlan":
-        self._at(at, "restart", server.site.name, server.restart)
-        return self
-
     # -- misbehaving-client scenarios --------------------------------------------
 
     def storm_updates(
@@ -184,14 +180,6 @@ class FaultPlan:
         self._at(
             at, "hijack", f"AS{attacker}>{prefix}",
             lambda: surface.announce(attacker, prefix),
-        )
-        return self
-
-    def leak_route(self, surface, leaker: int, prefix, at: float) -> "FaultPlan":
-        """At ``at``, ``leaker`` re-originates its currently-selected
-        route for ``prefix`` — a path-preserving route leak."""
-        self._at(
-            at, "leak", f"AS{leaker}>{prefix}", lambda: surface.leak(leaker, prefix)
         )
         return self
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 __all__ = ["BreakerState", "BreakerConfig", "CircuitBreaker"]
 
@@ -75,7 +75,6 @@ class CircuitBreaker:
         self.label = label
         self.state = BreakerState.CLOSED
         self.trips = 0
-        self.tripped_at = 0.0
         self.trip_reason = ""
         self.half_open_at = 0.0
         self.transitions: List[Tuple[float, str, str]] = []  # (time, state, reason)
@@ -145,7 +144,6 @@ class CircuitBreaker:
         """To OPEN.  Returns the cooldown before half-open is due."""
         self.trips += 1
         self.state = BreakerState.OPEN
-        self.tripped_at = now
         self.trip_reason = reason
         self._updates.clear()
         self._flaps.clear()
@@ -181,13 +179,3 @@ class CircuitBreaker:
         self._updates.clear()
         self._flaps.clear()
         self.transitions.append((now, self.state.value, "reset"))
-
-    # -- reporting ----------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "state": self.state.value,
-            "trips": self.trips,
-            "trip_reason": self.trip_reason,
-            "transitions": len(self.transitions),
-        }

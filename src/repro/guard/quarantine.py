@@ -164,12 +164,3 @@ class QuarantineManager:
             offense=self._offenses.get(client_id, 0),
             severity="info",
         )
-
-    # -- reporting ----------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "quarantined": self.quarantined(),
-            "offenses": dict(sorted(self._offenses.items())),
-            "history": len(self.history),
-        }

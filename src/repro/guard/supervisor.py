@@ -32,7 +32,7 @@ seed reproduces the identical supervision trace, event for event.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..net.addr import Prefix
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
@@ -144,9 +144,6 @@ class Supervisor:
             )
             self._breakers[key] = breaker
         return breaker
-
-    def breakers(self) -> Dict[Tuple[str, str], CircuitBreaker]:
-        return dict(self._breakers)
 
     # -- admission gates (called from the mux hot paths) ------------------------------
 
@@ -340,19 +337,3 @@ class Supervisor:
         if repaired:
             self._repair_counter.labels(server.site.name).inc(repaired)
         return repaired
-
-    # -- reporting ----------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        open_breakers: List[str] = [
-            f"{site}/{client}"
-            for (site, client), breaker in sorted(self._breakers.items())
-            if breaker.state is not BreakerState.CLOSED
-        ]
-        return {
-            "breakers": len(self._breakers),
-            "breakers_not_closed": open_breakers,
-            "quarantine": self.quarantine.stats(),
-            "watchdog": self.watchdog.stats(),
-            "journal": self.journal.stats(),
-        }

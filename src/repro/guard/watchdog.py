@@ -157,14 +157,3 @@ class Watchdog:
             repaired_announcements=repaired,
             severity="info",
         )
-
-    # -- reporting -------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "running": self.running,
-            "probes": self.probes,
-            "restarts": self.restarts,
-            "kills": self.kills,
-            "pending": sorted(self._restart_pending),
-        }

@@ -15,10 +15,10 @@ a quarter of the Internet" and how per-peer export-table sizes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
-from .topology import ASGraph, ASNode
+from .topology import ASGraph
 
 __all__ = [
     "PeerReachability",

@@ -453,8 +453,8 @@ class CompiledOutcome(RoutingOutcome):
         # A pure prepend change shifts every selected route's path length
         # by the same amount; the shift is recorded here instead of
         # copying the 50k-entry plen array (accessors reconstruct paths
-        # from via pointers and never read plen, so materialization —
-        # see _table() — is deferred until someone asks for plen values).
+        # from via pointers and never read plen; a reader of plen values
+        # adds the shift to every reached, non-origin slot).
         self._plen_shift = plen_shift
         # Delta-propagation provenance: the compiled specs this table was
         # converged for and the security fingerprint in effect (None =
@@ -463,22 +463,6 @@ class CompiledOutcome(RoutingOutcome):
         self._specs = specs
         self._security_fp = security_fp
         self._memo: Dict[int, ASRoute] = {}
-
-    def _table(self) -> TableT:
-        """The parent-pointer table with any pending plen shift applied.
-
-        Materializes at most once (rebinding ``self._plen`` to a fresh
-        list — the shared predecessor array is never mutated); origin
-        and unreached slots keep their plen untouched, matching what an
-        eager shift would have produced."""
-        s = self._plen_shift
-        if s:
-            self._plen = [
-                p + s if (k and k != _ORIGIN) else p
-                for k, p in zip(self._kind, self._plen)
-            ]
-            self._plen_shift = 0
-        return (self._kind, self._via, self._root, self._plen)
 
     # -- core accessors -------------------------------------------------------
 
@@ -557,35 +541,6 @@ class CompiledOutcome(RoutingOutcome):
     def as_path(self, asn: int) -> Optional[Tuple[int, ...]]:
         route = self.route(asn)
         return route.path if route is not None else None
-
-    # -- anycast fast path ----------------------------------------------------
-
-    def origin_spec_index(self, asn: int) -> Optional[int]:
-        """Which origin spec's export terminates ``asn``'s forwarding
-        chain — the index into the announcement's ``origins`` tuple, or
-        None when unreached or when ``asn`` itself originates (several
-        specs may share one origin; its root slot holds -1, as unreached
-        slots do, whichever kernel built the table).  For a multi-site
-        anycast announcement (one spec per site) this *is* the catchment
-        identity: the site whose announcement front won ``asn``, answered
-        from the root array without materializing a route."""
-        i = self._compiled.idx.get(asn)
-        if i is None or self._kind[i] in (0, _ORIGIN):
-            return None
-        return self._root[i]
-
-    def spec_table(self) -> Tuple[Dict[int, int], bytearray, List[int], List[int]]:
-        """The raw per-AS arrays ``(index_of, kind, root, plen)`` with any
-        pending path-length shift applied.
-
-        ``index_of`` maps ASN to slot; ``kind[slot]`` is the RouteKind
-        code (0 = unreached), ``root[slot]`` the winning origin-spec
-        index, ``plen[slot]`` the selected path length.  This is the bulk
-        interface population-scale catchment mapping reads — millions of
-        clients collapse to two array lookups each instead of per-AS
-        route materialization.  Callers must not mutate the arrays."""
-        kind, _via, root, plen = self._table()
-        return self._compiled.idx, kind, root, plen
 
 
 class OutcomeCache:
@@ -916,9 +871,8 @@ class PropagationEngine:
             if base is not None and mode == "shift":
                 # Tables are never mutated after construction, so all
                 # four arrays are shared with the previous outcome; the
-                # uniform plen shift stays pending (composing with any
-                # shift the base itself still carries) until someone
-                # actually needs plen values.
+                # uniform plen shift stays pending, composing with any
+                # shift the base itself carries.
                 table = (base._kind, base._via, base._root, base._plen)
                 shift += base._plen_shift
             else:

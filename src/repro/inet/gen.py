@@ -185,10 +185,6 @@ class Internet:
     config: Optional[InternetConfig] = None
     caida_config: Optional[CaidaConfig] = None
 
-    @property
-    def amsix(self) -> IXP:
-        return self.ixps["AMS-IX"]
-
     def total_prefixes(self) -> int:
         return sum(node.prefix_count for node in self.graph.nodes())
 

@@ -23,9 +23,9 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Set
 
-from .topology import ASGraph, ASNode, PeeringPolicy, TopologyError
+from .topology import ASGraph, PeeringPolicy, TopologyError
 
 __all__ = ["RequestOutcome", "PeeringRequest", "IXP", "RemotePeeringProvider"]
 
@@ -207,11 +207,6 @@ class IXP:
         if roll < accept + no_response + questions:
             return RequestOutcome.QUESTIONS
         return RequestOutcome.REJECTED
-
-    def peers_of(self, asn: int) -> Set[int]:
-        """Every IXP member adjacent to ``asn`` in the graph (route-server
-        plus bilateral)."""
-        return {m for m in self._members if m != asn and self.graph.relationship(asn, m) is not None}
 
 
 @dataclass

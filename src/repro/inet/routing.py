@@ -47,7 +47,7 @@ captures traffic even from ASes that still hold the covering route.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 from enum import IntEnum
 
@@ -93,10 +93,6 @@ class ASRoute:
     @property
     def length(self) -> int:
         return len(self.path)
-
-    @property
-    def origin(self) -> Optional[int]:
-        return self.path[-1] if self.path else None
 
 
 @dataclass(frozen=True)

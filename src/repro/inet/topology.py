@@ -19,8 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
-    Tuple,
+    AbstractSet, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple,
 )
 
 __all__ = [

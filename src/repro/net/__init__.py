@@ -1,6 +1,6 @@
 """Addressing, prefix-trie, packet, tunnel, and channel substrate."""
 
-from .addr import AddressError, IPAddress, Prefix, parse_address, parse_prefix
+from .addr import AddressError, IPAddress, Prefix, parse_prefix
 from .channel import ChannelClosed, ChannelPair, Endpoint
 from .packet import Packet, PacketError, icmp_echo_reply, icmp_ttl_exceeded
 from .trie import PrefixTrie
@@ -10,7 +10,6 @@ __all__ = [
     "AddressError",
     "IPAddress",
     "Prefix",
-    "parse_address",
     "parse_prefix",
     "PrefixTrie",
     "Packet",

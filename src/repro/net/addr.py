@@ -21,7 +21,6 @@ __all__ = [
     "IPAddress",
     "Prefix",
     "parse_prefix",
-    "parse_address",
 ]
 
 _V4_BITS = 32
@@ -329,11 +328,6 @@ def _mask(length: int, bits: int) -> int:
 
 def _max(bits: int) -> int:
     return _V4_MAX if bits == _V4_BITS else _V6_MAX
-
-
-def parse_address(text: str) -> IPAddress:
-    """Parse an IPv4 or IPv6 address from text."""
-    return IPAddress(text)
 
 
 def parse_prefix(text: str, strict: bool = True) -> Prefix:

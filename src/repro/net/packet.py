@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .addr import IPAddress
 

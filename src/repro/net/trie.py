@@ -56,10 +56,6 @@ class PrefixTrie(Generic[V]):
         self._root: _Node[V] = _Node()
         self._size = 0
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def _check(self, prefix: Union[IPAddress, Prefix]) -> None:
         if prefix.version != self._version:
             raise ValueError(
@@ -145,9 +141,6 @@ class PrefixTrie(Generic[V]):
     def __len__(self) -> int:
         return self._size
 
-    def __bool__(self) -> bool:
-        return self._size > 0
-
     def lookup(self, target: Union[IPAddress, Prefix]) -> Optional[Tuple[Prefix, V]]:
         """Longest-prefix match for an address (or prefix) — the forwarding op.
 
@@ -224,9 +217,6 @@ class PrefixTrie(Generic[V]):
     def values(self) -> Iterator[V]:
         for _, value in self.items():
             yield value
-
-    def __iter__(self) -> Iterator[Prefix]:
-        return self.keys()
 
     def first_free(self, within: Prefix, length: int) -> Optional[Prefix]:
         """First /``length`` inside ``within`` that neither covers nor is

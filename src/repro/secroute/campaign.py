@@ -91,18 +91,12 @@ class _MergedOutcome:
         route = self._strict.route(asn)
         return route if route is not None else self._loose.route(asn)
 
-    def reaches(self, asn: int) -> bool:
-        return self._strict.reaches(asn) or self._loose.reaches(asn)
-
     def reachable_asns(self) -> Set[int]:
         return self._strict.reachable_asns() | self._loose.reachable_asns()
 
     def as_path(self, asn: int) -> Optional[Tuple[int, ...]]:
         route = self.route(asn)
         return route.path if route is not None else None
-
-    def __len__(self) -> int:
-        return len(self.reachable_asns())
 
     def items(self) -> Iterable[Tuple[int, ASRoute]]:
         for asn in sorted(self.reachable_asns()):
@@ -159,7 +153,7 @@ class AttackSurface:
     """Mutable per-prefix announcement state that attack steps drive.
 
     This is the object :class:`repro.faults.plan.FaultPlan`'s
-    ``hijack_prefix`` / ``leak_route`` / ``withdraw_prefix`` steps mutate
+    ``hijack_prefix`` / ``withdraw_prefix`` steps mutate
     (duck-typed there, so :mod:`repro.faults` never imports this
     package).  Outcomes are recomputed on demand under the surface's
     security policy; :meth:`resolve` applies longest-prefix match across

@@ -54,7 +54,7 @@ from ..inet.engine import PropagationEngine
 from ..inet.gen import InternetConfig, build_internet
 from ..inet.routing import Announcement, RoutingOutcome
 from ..inet.topology import ASGraph
-from ..net.addr import IPAddress, Prefix, parse_prefix
+from ..net.addr import IPAddress, parse_prefix
 from ..net.packet import Packet
 from ..sim.engine import Engine
 from ..telemetry.metrics import MetricsRegistry

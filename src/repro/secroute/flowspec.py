@@ -634,46 +634,6 @@ class FlowSpecDistributor:
             "matched_bytes": sum(t[1] for t in self._rule_traffic.values()),
         }
 
-    def render(self, vantages: Optional[Iterable[int]] = None) -> str:
-        """Looking-glass style text view of the FlowSpec state."""
-        stats = self.stats()
-        lines = [
-            "flowspec: "
-            f"{stats['installed_now']} rules installed across "
-            f"{stats['deployers']} deployers (limit {self.install_limit}/AS)",
-            f"  lifetime: installed={self.counts['installed']} "
-            f"evicted={self.counts['evicted']} "
-            f"rejected(validation/limit/quarantine/stale)="
-            f"{self.counts['rejected_validation']}/"
-            f"{self.counts['rejected_limit']}/"
-            f"{self.counts['rejected_quarantine']}/"
-            f"{self.counts['rejected_stale']}",
-        ]
-        quarantined = self.quarantined_originators()
-        if quarantined:
-            lines.append(
-                "  quarantined originators: "
-                + ", ".join(f"AS{a}" for a in quarantined)
-            )
-        if self._rule_traffic:
-            stats_pkts = sum(t[0] for t in self._rule_traffic.values())
-            stats_bytes = sum(t[1] for t in self._rule_traffic.values())
-            lines.append(
-                f"  matched traffic: {stats_pkts} packets / {stats_bytes} bytes"
-            )
-            top = sorted(
-                self._rule_traffic.items(),
-                key=lambda kv: (-kv[1][1], -kv[1][0], kv[0].sort_key()),
-            )[:3]
-            for rule, (packets, volume) in top:
-                lines.append(f"    {packets} pkts / {volume} B  {rule}")
-        for vantage in vantages or []:
-            rules = self.rules_at(vantage)
-            lines.append(f"  AS{vantage}: {len(rules)} rules")
-            for rule in rules:
-                lines.append(f"    {rule}")
-        return "\n".join(lines)
-
 
 # (family, netmask, network, [(rule, src_prefix, protos, dst_ports, src_ports)])
 _Run = Tuple[

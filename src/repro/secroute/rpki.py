@@ -130,10 +130,6 @@ class RoaRegistry:
         for roa in roas:
             self.add(roa)
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def fingerprint(self) -> Tuple[int, int]:
         """Hashable identity of this registry's current contents."""
         return (self._serial, self._version)

@@ -10,22 +10,18 @@ severity counters), and is idempotent.  After installation:
   ``collector.tracer`` (ids and timestamps deterministic — the tracer
   rides the simulation clock);
 * every mux streams BMP-style messages into ``collector.monitor``;
-* :meth:`Collector.timeline` merges events, finished spans, and route
-  monitoring messages into one time-ordered operator view, and
-  :meth:`Collector.export_metrics` dumps the registry.
+* :meth:`Collector.export_metrics` dumps the registry.
 
 Like its siblings, this module must not import :mod:`repro.core` at
 runtime (core imports telemetry first); testbed/server objects are typed
-under ``TYPE_CHECKING`` only and severity filters are duck-typed on
-``.rank``.
+under ``TYPE_CHECKING`` only.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING
 
-from ..bgp.session import BGPSession
 from .lookingglass import LookingGlass
 from .metrics import MetricsRegistry
 from .routemon import RouteMonitor
@@ -37,13 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.testbed import Testbed
 
 __all__ = ["Collector"]
-
-
-class SeverityLike(Protocol):
-    """Anything with a severity rank (``repro.core.alerts.Severity``)."""
-
-    @property
-    def rank(self) -> int: ...
 
 
 class Collector:
@@ -83,24 +72,10 @@ class Collector:
         """Start monitoring one mux, including already-connected clients."""
         self.monitor.adopt_mux(server.site.name, server.address)
         for attachment in server._clients.values():
-            for peer_asn, session in attachment.sessions.items():
-                self.attach_session(
-                    server.site.name, attachment.client_id, peer_asn, session
+            for key, session in attachment.sessions.items():
+                self.monitor.attach_session(
+                    server.site.name, attachment.client_id, key or None, session
                 )
-            if attachment.bird_session is not None:
-                self.attach_session(
-                    server.site.name, attachment.client_id, None,
-                    attachment.bird_session,
-                )
-
-    def attach_session(
-        self,
-        server: str,
-        client_id: str,
-        peer: Optional[int],
-        session: BGPSession,
-    ) -> None:
-        self.monitor.attach_session(server, client_id, peer, session)
 
     # -- event stream ---------------------------------------------------------
 
@@ -110,31 +85,7 @@ class Collector:
             event.kind, severity.value if severity is not None else "none"
         ).inc()
 
-    # -- unified views --------------------------------------------------------
-
-    def timeline(
-        self, minimum: Optional[SeverityLike] = None
-    ) -> List[Tuple[float, str, str]]:
-        """Events, finished spans, and route-monitoring messages merged
-        into one ``(time, stream, description)`` sequence.
-
-        ``minimum`` filters the *event* stream by severity (spans and
-        monitoring messages carry no severity and always appear).
-        """
-        entries: List[Tuple[float, str, str]] = []
-        for event in self.testbed.events.events:
-            if minimum is not None:
-                severity = event.severity
-                if severity is None or severity.rank < minimum.rank:
-                    continue
-            entries.append((event.time, "event", str(event).strip()))
-        for span in self.tracer.finished:
-            end = span.end if span.end is not None else span.start
-            entries.append((end, "span", str(span)))
-        for message in self.monitor.messages:
-            entries.append((message.time, "bmp", str(message).strip()))
-        entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        return entries
+    # -- export ---------------------------------------------------------------
 
     def export_metrics(self) -> str:
         """The registry in Prometheus text format."""

@@ -32,17 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..core.testbed import Testbed
     from ..inet.routing import ASRoute
     from ..secroute.flowspec import FlowSpecDistributor, FlowSpecRule
-    from ..secroute.rpki import RoaRegistry, ValidationState
 
 __all__ = ["LookingGlass"]
 
 
 class LookingGlass:
     """Query service over the testbed's converged and monitored state.
-
-    ``roas`` (or the testbed's own adopted registry) adds the RPKI view:
-    per-route RFC 6811 validation state, rendered alongside each vantage
-    line — what a real looking glass shows as ``RPKI: valid``.
 
     ``flowspec`` (a :class:`~repro.secroute.flowspec.FlowSpecDistributor`)
     adds the traffic-filtering view: installed/rejected/evicted rule
@@ -57,20 +52,13 @@ class LookingGlass:
         self,
         testbed: "Testbed",
         monitor: Optional[RouteMonitor] = None,
-        roas: Optional["RoaRegistry"] = None,
         flowspec: Optional["FlowSpecDistributor"] = None,
         anycast: Optional["AnycastService"] = None,
     ) -> None:
         self.testbed = testbed
         self.monitor = monitor
-        self.roas = roas
         self.flowspec = flowspec
         self.anycast = anycast
-
-    def _registry(self) -> Optional["RoaRegistry"]:
-        if self.roas is not None:
-            return self.roas
-        return getattr(self.testbed, "roas", None)
 
     # -- substrate view (converged routes) ------------------------------------
 
@@ -81,31 +69,6 @@ class LookingGlass:
             return {}
         return dict(outcome.items())
 
-    def propagation_savings(self) -> Dict[str, object]:
-        """How much work incremental convergence saved: delta runs by
-        regime (noop/shift vs fallback/full), the fraction answered
-        without converging, and the total AS slots reused from previous
-        route tables instead of recomputed."""
-        stats = self.testbed.propagation.stats()
-        delta_obj = stats.get("delta")
-        delta: Dict[str, int] = (
-            {str(k): int(v) for k, v in delta_obj.items()}
-            if isinstance(delta_obj, dict) else {}
-        )
-        saved_obj = stats.get("delta_saved_slots", 0)
-        incremental = delta.get("noop", 0) + delta.get("shift", 0)
-        total = sum(delta.values())
-        return {
-            "delta_runs": delta,
-            "incremental_fraction": (incremental / total) if total else 0.0,
-            "slots_reused": int(saved_obj) if isinstance(saved_obj, int) else 0,
-        }
-
-    def route(self, prefix: Prefix, vantage: int) -> Optional["ASRoute"]:
-        """The route one vantage AS selected, or None if it has none."""
-        outcome = self.testbed.outcome_for(prefix)
-        return outcome.route(vantage) if outcome is not None else None
-
     def as_path(self, prefix: Prefix, vantage: int) -> Optional[Tuple[int, ...]]:
         """The AS path from one vantage toward ``prefix``."""
         outcome = self.testbed.outcome_for(prefix)
@@ -115,23 +78,6 @@ class LookingGlass:
         """How many ASes currently hold a route for ``prefix``."""
         outcome = self.testbed.outcome_for(prefix)
         return len(outcome) if outcome is not None else 0
-
-    # -- RPKI view (origin validation) -----------------------------------------
-
-    def validation_state(
-        self, prefix: Prefix, vantage: int
-    ) -> Optional["ValidationState"]:
-        """RFC 6811 state of the route ``vantage`` selected for
-        ``prefix``: the ROA registry's verdict on (prefix, path origin).
-        None when no registry is wired or the vantage has no route."""
-        registry = self._registry()
-        if registry is None:
-            return None
-        route = self.route(prefix, vantage)
-        if route is None:
-            return None
-        origin = route.path[-1] if route.path else self.testbed.asn
-        return registry.validate(prefix, origin)
 
     # -- FlowSpec view (traffic filtering) -------------------------------------
 
@@ -150,28 +96,6 @@ class LookingGlass:
         if self.flowspec is None:
             return ()
         return self.flowspec.rules_at(vantage)
-
-    # -- anycast view (catchment + steering) -----------------------------------
-
-    def anycast_stats(self) -> Dict[str, object]:
-        """The wired anycast service's state: per-site steering and
-        liveness, last measured volume shares, and the last rebalance
-        summary.  Empty dict when no service is wired."""
-        service = self.anycast
-        if service is None:
-            return {}
-        return {
-            "asn": service.asn,
-            "sites": list(service.active_site_names()),
-            "down": list(service.down_sites()),
-            "steering": {
-                name: service.steering_of(name).describe()
-                for name in service.active_site_names()
-            },
-            "shares": dict(service.last_shares),
-            "steering_changes": service.steering_changes,
-            "last_rebalance": service.last_rebalance,
-        }
 
     # -- origination view (announcement registry) -----------------------------
 
@@ -221,11 +145,7 @@ class LookingGlass:
         for vantage in vantages or []:
             path = self.as_path(prefix, vantage)
             shown = " ".join(str(a) for a in path) if path is not None else "(no route)"
-            state = self.validation_state(prefix, vantage)
-            rpki = "" if state is None else f"  [RPKI: {state.value}]"
-            lines.append(f"  AS{vantage}: {shown}{rpki}")
-        if self.flowspec is not None:
-            lines.append(self.flowspec.render(vantages))
+            lines.append(f"  AS{vantage}: {shown}")
         if self.anycast is not None:
             lines.extend(self.anycast.describe())
         return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 :class:`MetricsRegistry` is the testbed's single source of truth for
 operational statistics.  Every subsystem (propagation engine, muxes,
-safety enforcers, the supervision layer, fault injectors) registers
+safety enforcers, the supervision layer) registers
 metric *families* here; a family plus one concrete label-value set yields
 a *child*, the object call sites actually increment.  Children are plain
 slotted objects whose hot operation is one float addition, so
@@ -14,11 +14,6 @@ standard tooling to scrape a dump::
     # HELP peering_announcements_total Announcements accepted per mux
     # TYPE peering_announcements_total counter
     peering_announcements_total{server="amsterdam01"} 12
-
-:meth:`MetricsRegistry.snapshot` flattens the registry into a
-``{sample-name: value}`` dict and :meth:`MetricsRegistry.delta` diffs two
-snapshots — the benchmark harness and the CI smoke job use these to
-export before/after views of a run.
 
 Naming scheme (DESIGN.md §10): ``peering_<subsystem>_<noun>[_<unit>]``
 with ``_total`` on counters; label names are lowercase identifiers.
@@ -320,9 +315,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._families)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
     # -- export ---------------------------------------------------------------
 
     def export_text(self) -> str:
@@ -334,21 +326,3 @@ class MetricsRegistry:
             for sample, value in family.samples():  # type: ignore[attr-defined]
                 lines.append(f"{sample} {format(value, 'g')}")
         return "\n".join(lines) + "\n"
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``{sample-name: value}`` view of every sample."""
-        out: Dict[str, float] = {}
-        for family in self.families():
-            for sample, value in family.samples():  # type: ignore[attr-defined]
-                out[sample] = value
-        return out
-
-    def delta(self, since: Dict[str, float]) -> Dict[str, float]:
-        """Samples that moved since a previous :meth:`snapshot`."""
-        current = self.snapshot()
-        moved: Dict[str, float] = {}
-        for sample, value in current.items():
-            change = value - since.get(sample, 0.0)
-            if change != 0.0:
-                moved[sample] = change
-        return moved

@@ -6,7 +6,6 @@ from .traffic import (
     ProbeTrain,
     attack_flows,
     client_population,
-    gravity_matrix,
     zipf_attack_sources,
     zipf_clients,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "ClientPopulation",
     "ProbeTrain",
     "client_population",
-    "gravity_matrix",
     "zipf_attack_sources",
     "zipf_clients",
     "attack_flows",

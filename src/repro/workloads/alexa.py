@@ -23,8 +23,8 @@ synthetic address block and each FQDN an address in its hoster's block.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..inet.topology import ASGraph, ASKind
 from ..net.addr import IPAddress, Prefix

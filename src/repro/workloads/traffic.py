@@ -1,26 +1,24 @@
 """Traffic workload generators for data-plane experiments.
 
 Provides the flows examples and benchmarks push through the testbed:
-probe trains toward a destination set, anycast client populations, and a
-simple gravity-model traffic matrix over the AS graph (mass = prefix
-count, the usual proxy).
+probe trains toward a destination set, anycast client populations, and
+attack sources and flows for the DDoS campaign.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..inet.topology import ASGraph, ASKind
-from ..net.addr import IPAddress, Prefix
+from ..net.addr import IPAddress
 from ..net.packet import Packet
 
 __all__ = [
     "ProbeTrain",
     "ClientPopulation",
     "client_population",
-    "gravity_matrix",
     "zipf_attack_sources",
     "zipf_clients",
     "attack_flows",
@@ -100,12 +98,6 @@ class ClientPopulation:
 
     def items(self) -> Tuple[Tuple[int, int], ...]:
         return self.weights
-
-    def restrict(self, graph: ASGraph) -> "ClientPopulation":
-        """Drop entries whose ASN is absent from ``graph``."""
-        return ClientPopulation(
-            tuple((a, c) for a, c in self.weights if a in graph)
-        )
 
 
 def zipf_clients(
@@ -249,26 +241,3 @@ def attack_flows(
             yield source_asn, Packet(
                 src=src, dst=target, proto=proto, dst_port=dst_port, ttl=ttl
             )
-
-
-def gravity_matrix(
-    graph: ASGraph,
-    sources: Sequence[int],
-    destinations: Sequence[int],
-    total_flows: int = 1000,
-    seed: int = 0,
-) -> Dict[Tuple[int, int], int]:
-    """Gravity-model flow counts between AS pairs: flow(s, d) proportional
-    to mass(s) * mass(d), normalized to ``total_flows``."""
-    mass = {asn: max(1, graph.get(asn).prefix_count) for asn in set(sources) | set(destinations)}
-    raw: Dict[Tuple[int, int], float] = {}
-    for s in sources:
-        for d in destinations:
-            if s != d:
-                raw[(s, d)] = mass[s] * mass[d]
-    total_raw = sum(raw.values()) or 1.0
-    matrix = {
-        pair: max(1, round(total_flows * weight / total_raw))
-        for pair, weight in raw.items()
-    }
-    return matrix

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.addr import AddressError, IPAddress, Prefix, parse_address, parse_prefix
+from repro.net.addr import AddressError, IPAddress, Prefix, parse_prefix
 
 
 class TestIPAddressParsing:

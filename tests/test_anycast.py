@@ -18,10 +18,9 @@ from repro.anycast import (
 )
 from repro.faults.plan import FaultPlan
 from repro.inet.gen import InternetConfig, build_internet
-from repro.inet.routing import Announcement, OriginSpec, propagate
+from repro.inet.routing import Announcement, OriginSpec, RouteKind, propagate
 from repro.inet.topology import ASGraph, ASKind, ASNode
 from repro.sim.engine import Engine
-from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads import ClientPopulation, zipf_clients
 
 
@@ -264,17 +263,10 @@ class TestCatchmentMap:
             )
             assert cmap.volume_by_site == solo.volume_by_site
 
-    def test_observe_records_shares_and_metrics(self, world):
+    def test_observe_records_shares(self, world):
         _, service, population = world
-        metrics = MetricsRegistry()
-        service.bind_metrics(metrics)
         cmap = CatchmentMap.compute(service, population)
         assert service.last_shares == cmap.volume_shares()
-        gauge = metrics.get("peering_anycast_site_volume_share")
-        name = service.sites[0].name
-        assert gauge.labels(name).value == pytest.approx(
-            cmap.volume_shares()[name]
-        )
 
     def test_render_mentions_every_site(self, world):
         _, service, population = world
@@ -418,19 +410,28 @@ class TestCatchmentDifferential:
         )
 
 
+def _kind_and_plen(outcome):
+    """``(index_of, kind, plen)`` read straight off a compiled outcome's
+    arrays, its pending prepend shift added to every reached, non-origin
+    slot."""
+    shift, origin = outcome._plen_shift, int(RouteKind.ORIGIN)
+    plen = [p + shift if k not in (0, origin) else p for k, p in zip(outcome._kind, outcome._plen)]
+    return outcome._compiled.idx, outcome._kind, plen
+
+
 def _reference_screen_volumes(engineer, name, others, ladder, solos):
     """Per-depth screening volumes the slow way: every client, every
     depth, every footprint, one (kind rank, plen, site rank) tuple."""
     site_order = engineer.service.active_site_names()
     rank_of = {n: site_order.index(n) for n in site_order}
-    other_tables = [o.spec_table() for o in solos]
+    other_tables = [_kind_and_plen(o) for o in solos]
     screened = []
     for outcome in ladder:
-        tables = [(name, outcome.spec_table())] + list(zip(others, other_tables))
+        tables = [(name, _kind_and_plen(outcome))] + list(zip(others, other_tables))
         volumes = {n: 0 for n in site_order}
         for asn, volume in engineer.population.items():
             chosen = chosen_site = None
-            for site_name, (index_of, kind, _root, plen) in tables:
+            for site_name, (index_of, kind, plen) in tables:
                 i = index_of.get(asn)
                 if i is None or not kind[i]:
                     continue
@@ -681,15 +682,13 @@ class TestLookingGlassSection:
         population = zipf_clients(testbed.graph, ases=80, clients=5_000, seed=9)
         CatchmentMap.compute(service, population)
         glass = LookingGlass(testbed, anycast=service)
-        stats = glass.anycast_stats()
-        assert stats["asn"] == testbed.asn
-        assert stats["sites"] == ["amsterdam01", "gatech01"]
-        assert stats["shares"] == service.last_shares
         from repro.net.addr import Prefix
 
         text = glass.render(Prefix("184.164.224.0/24"))
-        assert "anycast AS" in text
-        assert "amsterdam01" in text
+        assert f"anycast AS{testbed.asn}: 2/2 sites live" in text
+        for name in ("amsterdam01", "gatech01"):
+            share = service.last_shares[name]
+            assert f"  {name}: up " in text and f"share={share:.1%}" in text
 
     def test_unwired_glass_empty(self):
         from repro.core import Testbed
@@ -698,4 +697,6 @@ class TestLookingGlassSection:
         testbed = Testbed.build_default(
             InternetConfig(n_ases=400, total_prefixes=30_000, seed=78)
         )
-        assert LookingGlass(testbed).anycast_stats() == {}
+        from repro.net.addr import Prefix
+
+        assert "anycast" not in LookingGlass(testbed).render(Prefix("184.164.224.0/24"))

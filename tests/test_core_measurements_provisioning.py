@@ -37,14 +37,7 @@ class TestControlPlaneCollector:
         observations = collector.collect()
         assert len(observations) == len(vantages)
         assert all(o.prefix == client.prefixes[0] for o in observations)
-
-    def test_reachability_matrix(self, world):
-        testbed, client, vantages = world
-        collector = ControlPlaneCollector(testbed, vantages)
-        collector.collect()
-        matrix = collector.reachability_matrix()
-        reachable = matrix[client.prefixes[0]]
-        assert sum(reachable.values()) >= len(vantages) - 1  # nearly all see it
+        assert sum(o.reachable for o in observations) >= len(vantages) - 1  # nearly all see it
 
     def test_scheduled_rounds(self, world):
         testbed, _client, vantages = world
@@ -77,7 +70,7 @@ class TestDataPlaneCollector:
         collector = DataPlaneCollector(testbed, vantages)
         observations = collector.collect()
         assert observations
-        assert collector.delivery_rate() > 0.8
+        assert sum(o.delivered for o in observations) > 0.8 * len(observations)
 
     def test_probe_records_path(self, world):
         testbed, _client, vantages = world

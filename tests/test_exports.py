@@ -1,7 +1,10 @@
-"""Every name a ``repro`` module lists in ``__all__`` exists in it."""
+"""Every name a ``repro`` module lists in ``__all__`` exists in it, and
+every name a ``repro`` module imports is used by it."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import repro
 
@@ -19,3 +22,52 @@ def test_every_all_entry_resolves():
     ]
     assert len(modules) > 1
     assert stale == []
+
+
+def unused_imports(source: str) -> list:
+    """Names ``source`` imports but never reads: not as a name, and not in a
+    string that parses as an expression (a quoted annotation or an
+    ``__all__`` entry)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+        used.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from typing import TYPE_CHECKING, Dict, List\n"
+        "import os.path\n"
+        "if TYPE_CHECKING:\n"
+        "    from .a import A, B\n"
+        "__all__ = ['List']\n"
+        "x: 'Dict[str, A]' = {}\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (4, "B")]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """``__init__.py`` files are exempt: their imports are re-exports."""
+    src = Path(repro.__file__).parent
+    unused = [
+        f"{path.relative_to(src.parent)}:{line} {name}"
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert unused == []

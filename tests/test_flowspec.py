@@ -252,16 +252,14 @@ class TestDistributorLifecycle:
         rejected = metrics.get("peering_flowspec_rules_rejected_total")
         assert rejected.labels("validation").value == 1
 
-    def test_stats_and_render(self):
+    def test_stats(self):
         g = chain_world()
         dist, _ = make_distributor(g)
         dist.announce(rule())
         stats = dist.stats()
         assert stats["installed_now"] == 4
         assert stats["max_installed_at_one_as"] == 1
-        text = dist.render(vantages=[9])
-        assert "4 rules installed" in text
-        assert "AS9: 1 rules" in text
+        assert len(dist.rules_at(9)) == 1
 
 
 class TestEnforcement:
@@ -412,7 +410,7 @@ class TestLookingGlassFlowspec:
         )
         return LookingGlass(testbed, flowspec=dist)
 
-    def test_stats_rules_and_render(self):
+    def test_stats_and_rules(self):
         g = chain_world()
         dist, _ = make_distributor(g)
         dist.announce(rule())
@@ -420,8 +418,6 @@ class TestLookingGlassFlowspec:
         assert glass.flowspec_stats()["installed_now"] == 4
         assert len(glass.flowspec_rules(9)) == 1
         assert glass.flowspec_rules(66) == ()
-        text = glass.render(PREFIX, vantages=[9])
-        assert "flowspec:" in text and "AS9: 1 rules" in text
 
     def test_unwired_glass_is_empty(self):
         glass = self.make_glass(None)
@@ -590,7 +586,7 @@ class TestRuleTrafficCounters:
         assert dist.rules_at(1) == ()
         assert dist.rule_counters()[discard] == (1, 1500)
 
-    def test_exported_per_mux_and_rendered(self):
+    def test_exported_per_mux(self):
         g = chain_world()
         metrics = MetricsRegistry()
         dist, _ = make_distributor(g, deployers=(1,))
@@ -608,5 +604,4 @@ class TestRuleTrafficCounters:
         assert packets.labels("gatech01").value == 1
         assert volume.labels("amsterdam01").value == 100
         assert volume.labels("gatech01").value == 1000
-        text = dist.render()
-        assert "matched traffic: 2 packets / 100 bytes" in text
+        assert dist.stats()["matched_bytes"] == 100

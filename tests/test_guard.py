@@ -9,7 +9,7 @@ from repro.bgp.attributes import ASPath, Origin, PathAttributes
 from repro.core import Testbed
 from repro.core.alerts import Severity
 from repro.core.safety import SafetyVerdict
-from repro.core.server import AnnouncementSpec, spec_from_tuple, spec_to_tuple
+from repro.core.server import AnnouncementSpec, MuxMode, spec_from_tuple, spec_to_tuple
 from repro.faults import FaultPlan
 from repro.guard import (
     BreakerConfig,
@@ -25,6 +25,7 @@ from repro.guard import (
 from repro.inet.gen import InternetConfig
 from repro.net.addr import Prefix
 from repro.sim import Engine
+from repro.telemetry.routemon import BMPKind
 
 
 # -- shared builders ----------------------------------------------------------
@@ -543,6 +544,59 @@ def attach_and_originate(tb, client, site):
     att.router.originate(client.prefixes[0])
     tb.engine.run_for(1)
     return att
+
+
+@pytest.mark.parametrize("mode", [MuxMode.QUAGGA, MuxMode.BIRD], ids=["quagga", "bird"])
+def test_supervision_paths_in_both_mux_modes(mode):
+    """Session count, supervision teardown, crash/restart, re-provisioning
+    and disconnect act on every mux-side session of a client, whether it
+    has one per peer (QUAGGA) or one ADD-PATH session keyed 0 (BIRD)."""
+    tb = build_testbed()
+    supervise_fast(tb)
+    server = tb.server("usc01")
+    peers = sorted(server.neighbor_asns)[:3]
+    keys = [0] if mode is MuxMode.BIRD else peers
+    client = tb.register_client("exp", "alice")
+    client.attach_bgp("usc01", mode=mode, peer_asns=peers, resilient=True, idle_hold_time=2.0)
+    tb.engine.run_for(1)
+    att = client.attachments["usc01"]
+    att.router.originate(client.prefixes[0])
+    tb.engine.run_for(1)
+    assert sorted(att.sessions) == keys
+    assert server.client_session_count("exp") == server.client_session_count() == len(keys)
+    assert client.prefixes[0] in tb.announced_prefixes()
+    # A healthy session is not re-provisioned; an unknown key never is.
+    assert server.reconnect_endpoint("exp", keys[0]) is None
+    assert server.reconnect_endpoint("exp", 1) is None
+
+    # observe() after connect taps each mux-side session exactly once.
+    monitor = tb.observe().monitor
+
+    def bmp(kind):
+        return [m.peer for m in monitor.messages if m.kind is kind and m.client_id == "exp"]
+
+    assert server.drop_client_sessions("exp") == len(keys)
+    assert server.drop_client_sessions("exp") == 0  # nothing left to drop
+    assert bmp(BMPKind.PEER_DOWN) == [key or None for key in keys]
+    tb.engine.run_for(10)  # the client backs off, then re-provisions each key
+    assert all(s.established for s in att.sessions.values())
+    assert bmp(BMPKind.PEER_UP) == [key or None for key in keys]
+
+    server.crash()
+    assert not any(s.established for s in att.sessions.values())
+    assert client.prefixes[0] not in tb.announced_prefixes()
+    assert server.reconnect_endpoint("exp", keys[0]) is None  # mux is down
+    tb.engine.run_for(30)  # the watchdog restarts the mux; sessions come back
+    assert server.alive
+    assert all(s.established for s in att.sessions.values())
+    assert client.prefixes[0] in tb.announced_prefixes()
+    assert server.client_session_count("exp") == len(keys)
+
+    server.disconnect_client("exp")
+    assert server.client_session_count() == 0
+    assert server.drop_client_sessions("exp") == 0
+    assert server.reconnect_endpoint("exp", keys[0]) is None
+    assert client.prefixes[0] not in tb.announced_prefixes()
 
 
 class TestBreakerIntegration:

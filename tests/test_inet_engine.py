@@ -472,15 +472,13 @@ class TestCompiledOutcomeSurface:
         outcome = PropagationEngine(graph).propagate(
             Announcement(origins=origins)
         )
-        index_of, kind, root, _plen = outcome.spec_table()
+        kind, root = outcome._kind, outcome._root
         origin_asns = {spec.asn for spec in origins}
-        for asn, i in index_of.items():
+        for asn, i in outcome._compiled.idx.items():
             if asn in origin_asns or asn == 99:
                 assert root[i] == -1
-                assert outcome.origin_spec_index(asn) is None
             else:
                 assert kind[i] and 0 <= root[i] < len(origins)
-                assert outcome.origin_spec_index(asn) == root[i]
                 assert outcome.route(asn).path[-1] == origins[root[i]].asn
 
     def test_duplicate_specs_break_on_spec_index(self):
@@ -494,6 +492,7 @@ class TestCompiledOutcomeSurface:
         outcome = PropagationEngine(graph).propagate(
             Announcement(origins=(OriginSpec(3), OriginSpec(3)))
         )
+        index_of = outcome._compiled.idx
         assert {
-            asn: outcome.origin_spec_index(asn) for asn in (1, 2, 4, 5, 6, 7)
+            asn: outcome._root[index_of[asn]] for asn in (1, 2, 4, 5, 6, 7)
         } == {1: 0, 2: 0, 5: 0, 7: 0, 4: 1, 6: 1}

@@ -100,14 +100,6 @@ class TestRegistry:
         assert "peering_seconds_sum 0.5" in text
         assert "peering_seconds_count 1" in text
 
-    def test_snapshot_and_delta(self, registry):
-        counter = registry.counter("peering_ops_total", "ops")
-        counter.inc(2)
-        before = registry.snapshot()
-        counter.inc(3)
-        delta = registry.delta(before)
-        assert delta["peering_ops_total"] == 3.0
-
 
 class TestOutcomeCacheMigration:
     """The cache's stat dict moved onto MetricsRegistry; the old int API
@@ -145,7 +137,6 @@ class TestEngineMigration:
         origin = OriginSpec(asn=next(internet.graph.asns()))
         engine.propagate(Announcement(origins=(origin,)))
         assert engine.compile_count == 1
-        snap = registry.snapshot()
-        assert snap["peering_propagation_compiles_total"] == 1.0
-        assert snap["peering_propagation_runs_total"] == 1.0
-        assert snap["peering_propagation_seconds_count"] == 1.0
+        assert registry.get("peering_propagation_compiles_total").value == 1.0
+        assert registry.get("peering_propagation_runs_total").value == 1.0
+        assert registry.get("peering_propagation_seconds").labels().count == 1

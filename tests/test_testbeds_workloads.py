@@ -16,7 +16,6 @@ from repro.workloads import (
     WebConfig,
     build_web_ecosystem,
     client_population,
-    gravity_matrix,
 )
 from repro.workloads.alexa import Resolver
 
@@ -143,12 +142,6 @@ class TestTrafficWorkloads:
         assert len(clients) == len(set(clients)) == 50
         kinds = {internet.graph.get(a).kind for a in clients}
         assert kinds <= {ASKind.ACCESS, ASKind.ENTERPRISE}
-
-    def test_gravity_matrix(self, internet):
-        asns = [n.asn for n in internet.graph.nodes()][:6]
-        matrix = gravity_matrix(internet.graph, asns[:3], asns[3:], total_flows=100)
-        assert all(flows >= 1 for flows in matrix.values())
-        assert all(s != d for s, d in matrix)
 
     def test_probe_train(self, internet):
         from repro.net.addr import IPAddress

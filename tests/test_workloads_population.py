@@ -1,5 +1,5 @@
 """ClientPopulation / zipf_clients edge cases: empty and single-AS
-populations, determinism under seeds, and ASNs absent from a topology."""
+populations and determinism under seeds."""
 
 import pytest
 
@@ -32,16 +32,6 @@ class TestClientPopulation:
         assert population.total_clients == 1000
         assert population.n_ases == 1
         assert population.asns() == (42,)
-
-    def test_restrict_drops_absent_asns(self, graph):
-        present = next(iter(graph.nodes())).asn
-        population = ClientPopulation(((present, 10), (999_999_999, 20)))
-        restricted = population.restrict(graph)
-        assert restricted.asns() == (present,)
-        assert restricted.total_clients == 10
-
-    def test_restrict_of_empty_is_empty(self, graph):
-        assert ClientPopulation(()).restrict(graph).n_ases == 0
 
 
 class TestZipfClients:
