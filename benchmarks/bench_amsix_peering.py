@@ -12,7 +12,7 @@ Reproduces the membership/peering numbers:
 import pytest
 from conftest import emit
 
-from repro.inet.gen import AmsIxConfig, InternetConfig, build_amsix, build_internet
+from repro.inet.gen import InternetConfig, build_amsix, build_internet
 from repro.inet.ixp import RequestOutcome
 from repro.inet.topology import ASKind, ASNode, PeeringPolicy
 

@@ -7,7 +7,6 @@ Also reports the modeled memory footprint ("ran on a commodity desktop
 using 8GB RAM").
 """
 
-import pytest
 from conftest import emit
 
 from repro.core import Testbed

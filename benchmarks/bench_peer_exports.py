@@ -8,7 +8,6 @@ checks its heavy tail: a handful of large exporters, a long tail of tiny
 ones.
 """
 
-import pytest
 from conftest import emit
 
 from repro.inet.analysis import peer_export_sizes

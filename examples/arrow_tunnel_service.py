@@ -24,7 +24,6 @@ Run:  python examples/arrow_tunnel_service.py
 """
 
 from repro.core import Action, Match, Rule, ServiceHost, Testbed
-from repro.core.services import Verdict
 from repro.inet.gen import InternetConfig
 from repro.inet.routing import Announcement, propagate
 from repro.net.addr import IPAddress, Prefix

@@ -13,7 +13,7 @@ emulated PoPs out to the Internet via AMS-IX."
 Run:  python examples/hurricane_electric_emulation.py
 """
 
-from repro.core import MuxMode, Testbed
+from repro.core import Testbed
 from repro.emulation import MinineXt, hurricane_electric
 from repro.inet.gen import InternetConfig
 from repro.net.addr import Prefix

@@ -491,6 +491,10 @@ class Testbed:
         self._dirty.clear()
 
     def _propagate_now(self, prefix: Prefix) -> None:
+        """Reconverge ``prefix`` and install the outcome, chained from the
+        outcome installed for it now (the one :meth:`outcome_for` returns)
+        when there is one, so a prepend change or a poison swap can reuse
+        its route table.  A first announcement is a plain propagation."""
         holders = self._announced[prefix]
         origins: List[OriginSpec] = []
         for server_name, (_client, spec) in sorted(holders.items()):
@@ -516,8 +520,12 @@ class Testbed:
             prefix=str(prefix),
             origins=len(origins),
         ) as converge:
-            outcome = self.propagation.propagate(
-                Announcement(origins=tuple(origins), prefix=prefix)
+            announcement = Announcement(origins=tuple(origins), prefix=prefix)
+            installed = self.dataplane._outcomes.get(prefix)
+            outcome = (
+                self.propagation.propagate(announcement)
+                if installed is None
+                else self.propagation.propagate_delta(installed, announcement)
             )
             if self.tracer is not None:
                 self.tracer.event("outcome.install")

@@ -41,7 +41,10 @@ changed announcement from the previous route table without converging
 (noop, shift — see :meth:`PropagationEngine.propagate_delta`), and
 :meth:`PropagationEngine.propagate_many`, which orders a sweep's cache
 misses by delta affinity and chains them through those regimes in one
-process.
+process.  A shift moves every export path by the same length and shares
+the previous table; unsecured, it may also swap poisoned ASes that have
+no customers, which can never export a route, by patching their slots
+alone in a copy (:func:`_swap_poison`).
 """
 
 from __future__ import annotations
@@ -669,40 +672,120 @@ def _active_security(
 
 
 def _delta_regime(
+    ct: CompiledTopology,
     old_specs: Optional[Tuple[SpecT, ...]],
     new_specs: Tuple[SpecT, ...],
     security: Optional["CompiledSecurity"],
-) -> Tuple[str, int]:
+) -> Tuple[str, int, Tuple[List[int], List[int]]]:
     """How to get ``new_specs``' route table from the one converged for
     ``old_specs`` on the same topology under the same security
-    fingerprint (None = there is no such table): ``(mode, plen_shift)``.
+    fingerprint (None = there is no such table): ``(mode, plen_shift,
+    (unpoisoned, poisoned))``, the last two the slots a shift patches.
 
     * ``noop`` — identical specs: the old table is the answer.
-    * ``shift`` — one spec, same origin/export-set/targets, only the
-      export path changed (prepend engineering).  Acceptance decisions
-      depend only on those plus — under security — the export path's
-      tail mask and last hop, so (kind, via, root) is preserved exactly
-      and plen shifts uniformly.
+    * ``shift`` — every spec keeps its origin and targets, every export
+      path's length moves by the same ``d``, and the specs keep their
+      ``(origin, export path, spec index)`` order, so every level of the
+      kernel moves by ``d`` and (kind, via, root) is preserved, plen
+      shifted uniformly.  Unsecured, the export sets may also swap
+      poisoned ASes: a set R that every old spec names and no new one
+      does, and a set A the other way round, each AS in them absent from
+      the graph or customer-less, no origin and no neighbour a spec
+      announces to.  Such an AS never exports a route (it holds no
+      customer route, and peer and provider routes go to customers
+      only), so poisoning or unpoisoning it moves its own slot alone:
+      the R slots listed first, the A slots second.  Secured, only a
+      single spec with an unchanged export set, last hop and tail mask
+      shifts: acceptance reads those too.
     * ``fallback`` — a reusable table, but the change is neither; and
       ``full`` — no reusable table.  Both converge from scratch.
+
+    The per-spec checks come first, so a change that moves one spec of
+    many (an anycast sweep's variants) is rejected in O(#specs).
     """
+    no_swap: Tuple[List[int], List[int]] = ([], [])
     if old_specs is None:
-        return "full", 0
+        return "full", 0, no_swap
     if new_specs == old_specs:
-        return "noop", 0
-    if len(old_specs) == 1 and len(new_specs) == 1:
-        ooi, oepath, oeset, oato = old_specs[0]
-        noi, nepath, neset, nato = new_specs[0]
-        if noi == ooi and neset == oeset and nato == oato and (
-            security is None
-            or (
-                nepath[-1] == oepath[-1]
-                and security.path_mask(nepath[1:])
-                == security.path_mask(oepath[1:])
-            )
+        return "noop", 0, no_swap
+    if len(new_specs) != len(old_specs):
+        return "fallback", 0, no_swap
+    d = len(new_specs[0][1]) - len(old_specs[0][1])
+    for (ooi, oepath, _oeset, oato), (noi, nepath, _neset, nato) in zip(
+        old_specs, new_specs
+    ):
+        if noi != ooi or nato != oato or len(nepath) - len(oepath) != d:
+            return "fallback", 0, no_swap
+    if security is not None:
+        _oi, oepath, oeset, _ato = old_specs[0]
+        _ni, nepath, neset, _nto = new_specs[0]
+        if (
+            len(new_specs) == 1
+            and neset == oeset
+            and nepath[-1] == oepath[-1]
+            and security.path_mask(nepath[1:]) == security.path_mask(oepath[1:])
         ):
-            return "shift", len(nepath) - len(oepath)
-    return "fallback", 0
+            return "shift", d, no_swap
+        return "fallback", 0, no_swap
+    if len(new_specs) > 1 and sorted(
+        range(len(new_specs)), key=lambda si: new_specs[si][:2]
+    ) != sorted(range(len(old_specs)), key=lambda si: old_specs[si][:2]):
+        return "fallback", 0, no_swap
+    removed = old_specs[0][2] - new_specs[0][2]
+    added = new_specs[0][2] - old_specs[0][2]
+    for (_oi, _oepath, oeset, _oato), (_ni, _nepath, neset, _nato) in zip(
+        old_specs, new_specs
+    ):
+        if oeset - neset != removed or neset - oeset != added:
+            return "fallback", 0, no_swap
+    swap: Tuple[List[int], List[int]] = ([], [])
+    for slots, asns in zip(swap, (removed, added)):
+        for asn in asns:
+            i = ct.idx.get(asn)
+            if i is None:
+                continue
+            if ct.customers[i]:
+                return "fallback", 0, no_swap
+            for oi, _epath, _eset, ato in new_specs:
+                if i == oi or (
+                    (ato is None or asn in ato)
+                    and (oi in ct.providers[i] or oi in ct.peers[i])
+                ):
+                    return "fallback", 0, no_swap
+            slots.append(i)
+    return "shift", d, swap
+
+
+def _swap_poison(
+    ct: CompiledTopology, table: TableT, unpoisoned: List[int], poisoned: List[int]
+) -> TableT:
+    """``table`` with customer-less slots unpoisoned or poisoned, each
+    given the route the kernel would (see :func:`_delta_regime`).
+
+    A poisoned slot is cleared.  An unpoisoned slot takes the minimum
+    ``(plen + 1, index)`` offer among its peers holding a customer route
+    (phase 2), else among its providers holding any non-origin route
+    (phase 3); ``plen`` stays in ``table``'s frame.  No copy when there
+    is nothing to patch."""
+    if not unpoisoned and not poisoned:
+        return table
+    kind, via, root, plen = table
+    kind, via, root, plen = bytearray(kind), list(via), list(root), list(plen)
+    for i in poisoned:
+        kind[i], via[i], root[i], plen[i] = 0, -1, -1, 0
+    for i in unpoisoned:
+        offers = [(plen[v] + 1, v) for v in ct.peers[i] if kind[v] == _CUSTOMER]
+        k = _PEER
+        if not offers:
+            offers = [
+                (plen[v] + 1, v) for v in ct.providers[i]
+                if kind[v] and kind[v] != _ORIGIN
+            ]
+            k = _PROVIDER
+        if offers:
+            plen[i], v = min(offers)
+            kind[i], via[i], root[i] = k, v, root[v]
+    return kind, via, root, plen
 
 
 class PropagationEngine:
@@ -800,9 +883,12 @@ class PropagationEngine:
 
         * **noop** — identical steering: the previous outcome *is* the
           answer.
-        * **shift** — same origin/export-set/targets, only the export
-          path length changed (prepend engineering): every route keeps
-          its (kind, via) and shifts ``plen`` uniformly.
+        * **shift** — every spec keeps its origin and targets and its
+          export path moves by the same length (prepend engineering):
+          every route keeps its (kind, via) and shifts ``plen``
+          uniformly, sharing the previous table.  Unsecured, the poison
+          may also swap among ASes without customers, whose slots alone
+          are patched in a copy.
         * **fallback** — ``prev_outcome`` is reusable but the change is
           neither of the above: one full convergence.
         * **full** — ``prev_outcome`` is not reusable (None, another
@@ -861,30 +947,36 @@ class PropagationEngine:
             and prev._security_fp == sec_fp
         ):
             base = prev
-        mode, shift = _delta_regime(
-            None if base is None else base._specs, specs, security
+        mode, shift, (unpoisoned, poisoned) = _delta_regime(
+            compiled, None if base is None else base._specs, specs, security
         )
         outcome: CompiledOutcome
         if base is not None and mode == "noop":
             outcome = base
         else:
             if base is not None and mode == "shift":
-                # Tables are never mutated after construction, so all
-                # four arrays are shared with the previous outcome; the
-                # uniform plen shift stays pending, composing with any
-                # shift the base itself carries.
-                table = (base._kind, base._via, base._root, base._plen)
+                # Tables are never mutated after construction, so a pure
+                # prepend change shares all four arrays with the previous
+                # outcome (a poison swap patches copies); the uniform plen
+                # shift stays pending, composing with any shift the base
+                # itself carries.
+                table = _swap_poison(
+                    compiled, (base._kind, base._via, base._root, base._plen),
+                    unpoisoned, poisoned,
+                )
                 shift += base._plen_shift
             else:
                 table = _converge(compiled, specs, security)
+                self._runs.inc()
             outcome = CompiledOutcome(
                 self.graph, compiled, table, specs, sec_fp, shift
             )
-            self._runs.inc()
         if chained:
             self._delta_runs.labels(mode).inc()
             if mode in ("noop", "shift"):
-                self._delta_saved.inc(float(compiled.n))
+                self._delta_saved.inc(
+                    float(compiled.n - len(unpoisoned) - len(poisoned))
+                )
         self._seconds.observe(perf_counter() - started)
         return outcome
 

@@ -1,6 +1,5 @@
 """Route-flap damping (RFC 2439) tests."""
 
-import math
 
 import pytest
 from hypothesis import given, strategies as st

@@ -1,6 +1,5 @@
 """Policy engine tests: prefix lists, AS-path filters, route maps."""
 
-import pytest
 
 from repro.net.addr import IPAddress, Prefix
 from repro.bgp.attributes import ASPath, Community, PathAttributes

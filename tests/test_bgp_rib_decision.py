@@ -1,6 +1,5 @@
 """Tests for RIB stages and the decision process."""
 
-import pytest
 
 from repro.net.addr import IPAddress, Prefix
 from repro.bgp.attributes import ASPath, Origin, PathAttributes

@@ -1,12 +1,10 @@
 """Integration tests for the full BGP router."""
 
-import pytest
 
 from repro.net.addr import IPAddress, Prefix
 from repro.sim import Engine
-from repro.bgp.attributes import Community, NO_EXPORT, ASPath
+from repro.bgp.attributes import Community, NO_EXPORT
 from repro.bgp.policy import (
-    AsPathFilter,
     MatchConditions,
     PrefixList,
     PrefixListEntry,

@@ -1,6 +1,5 @@
 """Safety-enforcement tests: the hijack/leak/flap/spoof gauntlet."""
 
-import pytest
 
 from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import Packet

@@ -1,11 +1,11 @@
 """Integration tests for the Testbed, servers, and clients."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro.core import (
-    AnnouncementSpec,
     ExperimentError,
     ExperimentStatus,
     MuxMode,
@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.inet.dataplane import DataPlane, DeliveryStatus
 from repro.inet.gen import InternetConfig
+from repro.inet.routing import Announcement, OriginSpec, propagate
 from repro.net.addr import IPAddress, Prefix
 from repro.net.packet import Packet
 from repro.secroute.flowspec import (
@@ -440,3 +441,122 @@ class TestCommunityControl:
             communities=[Community(fresh_testbed.asn, 65535)],
         )
         assert client.prefixes[0] not in fresh_testbed.announced_prefixes()
+
+
+STEER_MUXES = ("amsterdam01", "gatech01", "ufmg01")
+
+
+def _announcement_of(testbed, client, prefix):
+    """The substrate announcement the muxes' recorded specs add up to,
+    rebuilt from their public read-backs."""
+    origins = []
+    for name in sorted(client.attachments):
+        server = testbed.server(name)
+        spec = server.announcements_for(client.client_id).get(prefix)
+        if spec is None:
+            continue
+        peers = server.neighbor_asns if spec.peers is None else spec.peers
+        origins.append(OriginSpec(
+            asn=testbed.asn, prepend=spec.prepend, poison=spec.poison,
+            announce_to=tuple(sorted(set(peers))),
+        ))
+    return Announcement(origins=tuple(origins), prefix=prefix)
+
+
+class TestSteeringChain:
+    """Seeded steering scripts against one prefix: prepend changes, poison
+    swaps among customer-less, transit and mux-neighbour ASes and ASNs the
+    graph does not hold, withdrawals and graph mutations.  After every step
+    the installed outcome equals a fresh reference propagation route for
+    route."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_installed_outcome_matches_reference(self, seed):
+        rng = random.Random(seed)
+        testbed = Testbed.build_default(
+            InternetConfig(n_ases=300, total_prefixes=20_000, seed=90 + seed)
+        )
+        graph, engine = testbed.graph, testbed.propagation
+        muxes = STEER_MUXES[: 1 + seed % 3]
+        client = testbed.register_client("chain", "alice")
+        for name in muxes:
+            client.attach(name)
+        prefix = client.prefixes[0]
+        neighbours = sorted(
+            set().union(*(testbed.server(m).neighbor_asns for m in muxes))
+        )
+        others = sorted(set(graph.asns()) - {testbed.asn} - set(neighbours))
+        pools = {
+            "customerless": [a for a in others if not graph.customers(a)],
+            "transit": [a for a in others if graph.customers(a)],
+            "neighbour": neighbours,
+            "absent": [max(graph.asns()) + k for k in (1, 2, 3)],
+        }
+        assert all(pools.values())
+
+        def poison():
+            kinds = rng.choices(list(pools), weights=(6, 2, 1, 1), k=rng.choice((0, 1, 1, 1, 2)))
+            return tuple(sorted({rng.choice(pools[kind]) for kind in kinds}))
+
+        def announce(servers, peers=None):
+            decisions = client.announce(
+                prefix, servers=servers, peers=peers, prepend=rng.randrange(4), poison=poison()
+            )
+            assert all(d.allowed for d in decisions.values()), decisions
+
+        mutated = False
+        for _ in range(24):
+            testbed.engine.run_for(3600.0)  # lets flap damping decay
+            before = dict(engine.stats()["delta"])
+            step = rng.choices(
+                ("uniform", "per_mux", "withdraw_one", "withdraw_all", "mutate"),
+                weights=(10, 3, 1, 1, 1),
+            )[0]
+            if step == "uniform" or prefix not in testbed.announced_prefixes():
+                announce(list(muxes))
+            elif step == "per_mux":
+                for name in muxes:
+                    upstreams = sorted(testbed.server(name).neighbor_asns)
+                    peers = None
+                    if rng.random() < 0.5:
+                        peers = rng.sample(upstreams, rng.randint(1, len(upstreams)))
+                    announce([name], peers)
+            elif step == "withdraw_one":
+                client.withdraw(prefix, servers=[rng.choice(muxes)])
+            elif step == "withdraw_all":
+                client.withdraw(prefix)
+            else:
+                stale = testbed.outcome_for(prefix)
+                if rng.random() < 0.5:
+                    a, b = rng.sample(pools["transit"], 2)
+                    while graph.relationship(a, b) is not None:
+                        a, b = rng.sample(pools["transit"], 2)
+                    graph.add_peering(a, b)
+                else:
+                    ixp = testbed.internet.ixps["AMS-IX"]
+                    joiner = rng.choice(sorted(set(others) - ixp.members()))
+                    ixp.add_member(joiner, use_route_server=True)
+                # The outcome installed before the mutation is no delta
+                # base for the mutated graph.
+                fresh = engine.propagate_delta(
+                    stale, _announcement_of(testbed, client, prefix), use_cache=False
+                )
+                delta = engine.stats()["delta"]
+                assert {m: delta[m] - before[m] for m in delta if delta[m] != before[m]} == {"full": 1}
+                assert dict(fresh.items()) == dict(propagate(
+                    graph, _announcement_of(testbed, client, prefix)
+                ).items())
+                mutated = True
+                continue
+            outcome = testbed.outcome_for(prefix)
+            announcement = _announcement_of(testbed, client, prefix)
+            if not announcement.origins:
+                assert outcome is None
+                continue
+            reference = propagate(graph, announcement)
+            assert dict(outcome.items()) == dict(reference.items())
+            if mutated:
+                # The first reconvergence after a mutation cannot reuse a table.
+                delta = engine.stats()["delta"]
+                assert all(delta[m] == before[m] for m in ("noop", "shift", "fallback"))
+                mutated = False

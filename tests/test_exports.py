@@ -1,5 +1,6 @@
 """Every name a ``repro`` module lists in ``__all__`` exists in it, and
-every name a ``repro`` module imports is used by it."""
+every name a ``repro`` module, test, benchmark, example or script imports
+is used by it."""
 
 import ast
 import importlib
@@ -62,12 +63,19 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    """``__init__.py`` files are exempt: their imports are re-exports."""
-    src = Path(repro.__file__).parent
+    """Covers the package and the repository's tests, benchmarks, examples
+    and scripts.  ``__init__.py`` files are exempt: their imports are
+    re-exports."""
+    root = Path(__file__).resolve().parents[1]
+    trees = [Path(repro.__file__).parent] + [
+        root / name for name in ("tests", "benchmarks", "examples", "scripts")
+    ]
     unused = [
-        f"{path.relative_to(src.parent)}:{line} {name}"
-        for path in sorted(src.rglob("*.py"))
+        f"{path.relative_to(root)}:{line} {name}"
+        for tree in trees
+        for path in sorted(tree.rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
+    assert all(tree.is_dir() for tree in trees)
     assert unused == []

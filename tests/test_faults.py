@@ -4,7 +4,6 @@ chaos run the PR's acceptance criteria specify."""
 
 import pytest
 
-from repro.bgp.fsm import State
 from repro.core import Testbed
 from repro.faults import FaultConfig, FaultInjector, FaultPlan, Link
 from repro.inet.gen import InternetConfig

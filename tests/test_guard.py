@@ -19,7 +19,6 @@ from repro.guard import (
     JournalRecord,
     QuarantineConfig,
     QuarantineManager,
-    Supervisor,
     WatchdogConfig,
 )
 from repro.inet.gen import InternetConfig

@@ -204,6 +204,82 @@ def test_property_secured_sweep_matches_reference(seed):
     assert sum(engine.stats()["delta"].values()) == len(sweep)
 
 
+def steering_chain(graph, rng, steps=8):
+    """A testbed-like steering chain: one origin, one to three specs with
+    their own targets, mostly moving every prepend together while the
+    poison swaps to customer-less ASes, sometimes to transit ASes,
+    neighbours of the origin or ASNs the graph does not hold, and
+    sometimes moving one spec alone."""
+    asns = sorted(graph.asns())
+    origin = rng.choice(asns)
+    neighbours = sorted(graph.neighbors(origin))
+    pools = {
+        "customerless": [
+            a for a in sorted(graph.stub_asns()) if a != origin and a not in neighbours
+        ],
+        "transit": [a for a in asns if graph.customers(a) and a != origin],
+        "neighbour": neighbours,
+        "absent": [asns[-1] + 1, asns[-1] + 2],
+    }
+    targets = [None] + [
+        tuple(rng.sample(neighbours, rng.randint(1, len(neighbours))))
+        for _ in range(2) if neighbours
+    ]
+    specs = [
+        OriginSpec(origin, announce_to=rng.choice(targets))
+        for _ in range(rng.randint(1, 3))
+    ]
+    for _ in range(steps):
+        pool = pools[rng.choices(list(pools), weights=(6, 1, 1, 1))[0]]
+        poison = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 2))))
+        if rng.random() < 0.8:
+            d = rng.randint(-min(s.prepend for s in specs), 3)
+            specs = [replace(s, prepend=s.prepend + d, poison=poison) for s in specs]
+        else:
+            i = rng.randrange(len(specs))
+            specs[i] = replace(specs[i], prepend=rng.randint(0, 3), poison=poison)
+        yield Announcement(origins=tuple(specs), prefix=V20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_poison_swap_chain_matches_full_runs(seed):
+    """Every table of a steering chain, its pending shift applied, equals
+    a full convergence's array for array, and its routes the reference's."""
+    rng = random.Random(seed)
+    graph = build_internet(InternetConfig(n_ases=80, seed=seed)).graph
+    engine = PropagationEngine(graph)
+    prev = None
+    for announcement in steering_chain(graph, rng):
+        prev = engine.propagate_delta(prev, announcement, use_cache=False)
+        full = engine.propagate(announcement, use_cache=False)
+        assert effective_table(prev) == effective_table(full)
+        assert_same_routes(propagate(graph, announcement), prev)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_secured_chain_never_swaps_poison(seed):
+    """Under an active policy a chain still equals the reference route for
+    route, and a step that changes any export set never counts as shift:
+    acceptance reads the export path's tail mask, so the swap is off."""
+    rng = random.Random(seed)
+    graph = build_internet(InternetConfig(n_ases=80, seed=seed)).graph
+    policy = SecurityPolicy().lock_clique(sorted(graph.tier1_clique()))
+    for locker in rng.sample(sorted(graph.asns()), 4):
+        policy.lock(locker, rng.sample(sorted(graph.asns()), 3))
+    engine = PropagationEngine(graph)
+    prev = None
+    for announcement in steering_chain(graph, rng):
+        shifts = engine.stats()["delta"]["shift"]
+        old_sets = None if prev is None else [s[2] for s in prev._specs]
+        prev = engine.propagate_delta(prev, announcement, use_cache=False, security=policy)
+        reference = propagate(graph, announcement, security=policy.compile_for(announcement))
+        assert_same_routes(reference, prev)
+        if old_sets is not None and old_sets != [s[2] for s in prev._specs]:
+            assert engine.stats()["delta"]["shift"] == shifts
+
+
 class TestAffinityOrder:
     def test_groups_by_key(self):
         keys = ["a", "b", "a", "b", "a"]
@@ -324,6 +400,95 @@ class TestDeltaRegimes:
             assert_same_routes(propagate(hierarchy, new_ann), prev)
         modes = engine.stats()["delta"]
         assert (modes["fallback"], modes["cone"]) == (2, 0)
+
+    def test_customerless_poison_swap_is_a_patched_shift(self, hierarchy):
+        """Poisoning, swapping and unpoisoning customer-less ASes (6, 8)
+        and an ASN the graph lacks (99) shift: only the named slots are
+        patched, in copies (none when the swap names no slot of the
+        graph), and each table equals a full run's."""
+        engine = PropagationEngine(hierarchy)
+        prev = engine.propagate(Announcement.single(7), use_cache=False)
+        for poison in ((6,), (8,), (8, 99), ()):
+            announcement = Announcement.single(7, prepend=len(poison), poison=poison)
+            base, prev = prev, engine.propagate_delta(prev, announcement, use_cache=False)
+            assert (prev._kind is base._kind) == (poison == (8, 99))
+            full = engine.propagate(announcement, use_cache=False)
+            assert effective_table(prev) == effective_table(full)
+            assert_same_routes(propagate(hierarchy, announcement), prev)
+        assert engine.stats()["delta"] == {
+            "noop": 0, "shift": 4, "cone": 0, "fallback": 0, "full": 0
+        }
+
+    def test_partial_poison_falls_back(self, hierarchy):
+        """A customer-less AS poisoned by one spec of two is no swap: the
+        other spec still offers it a route."""
+        engine = PropagationEngine(hierarchy)
+        base_ann = Announcement(
+            origins=(OriginSpec(5, announce_to=(3,)), OriginSpec(5, announce_to=(7, 8)))
+        )
+        new_ann = Announcement(
+            origins=(OriginSpec(5, announce_to=(3,), poison=(6,)),
+                     OriginSpec(5, announce_to=(7, 8)))
+        )
+        base = engine.propagate(base_ann, use_cache=False)
+        out = engine.propagate_delta(base, new_ann, use_cache=False)
+        assert engine.stats()["delta"]["fallback"] == 1
+        assert_same_routes(propagate(hierarchy, new_ann), out)
+
+    def test_multi_spec_uniform_prepend_shares_table_arrays(self, hierarchy):
+        """Every spec of one origin prepending one more: a shift that
+        copies nothing; a uniform poison swap on top patches copies."""
+        engine = PropagationEngine(hierarchy)
+
+        def both(prepend, poison=()):
+            return Announcement(origins=(
+                OriginSpec(5, prepend=prepend, poison=poison, announce_to=(3,)),
+                OriginSpec(5, prepend=prepend, poison=poison, announce_to=(7, 8)),
+            ))
+
+        base = engine.propagate(both(0), use_cache=False)
+        shifted = engine.propagate_delta(base, both(1), use_cache=False)
+        assert all(
+            a is b for a, b in zip(
+                (shifted._kind, shifted._via, shifted._root, shifted._plen),
+                (base._kind, base._via, base._root, base._plen),
+            )
+        )
+        assert shifted._plen_shift == 1
+        swapped = engine.propagate_delta(shifted, both(1, (6,)), use_cache=False)
+        assert swapped._kind is not base._kind and swapped._plen_shift == 3
+        for announcement, outcome in ((both(1), shifted), (both(1, (6,)), swapped)):
+            full = engine.propagate(announcement, use_cache=False)
+            assert effective_table(outcome) == effective_table(full)
+            assert_same_routes(propagate(hierarchy, announcement), outcome)
+        assert engine.stats()["delta"]["shift"] == 2
+
+    def test_unpoisoned_slot_prefers_a_peer_over_a_shorter_provider_route(self):
+        """AS 40 has a one-hop-shorter offer from its provider 20 than from
+        its peer 30, and takes the peer route, as phase 2 settles it first.
+        Poisoning it again leaves it unreached."""
+        graph = graph_from_edges(c2p=[(10, 20), (20, 30), (40, 20)], p2p=[(40, 30)])
+        engine = PropagationEngine(graph)
+        prev = engine.propagate(Announcement.single(10, poison=(40,)), use_cache=False)
+        for poison in ((), (40,)):
+            announcement = Announcement.single(10, poison=poison)
+            prev = engine.propagate_delta(prev, announcement, use_cache=False)
+            assert_same_routes(propagate(graph, announcement), prev)
+        assert engine.stats()["delta"]["shift"] == 2
+        unpoisoned = engine.propagate_delta(prev, Announcement.single(10), use_cache=False)
+        assert unpoisoned.route(40).kind is RouteKind.PEER
+        assert unpoisoned.route(40).path == (30, 20, 10)
+
+    def test_poisoned_neighbour_announced_to_falls_back(self):
+        """AS 3 is customer-less but a peer the origin announces to: its
+        route comes straight from the origin, so it is no swap."""
+        graph = graph_from_edges(c2p=[(2, 1), (3, 1)], p2p=[(2, 3)])
+        engine = PropagationEngine(graph)
+        prev = engine.propagate(Announcement.single(2, poison=(3,)), use_cache=False)
+        out = engine.propagate_delta(prev, Announcement.single(2), use_cache=False)
+        assert engine.stats()["delta"]["fallback"] == 1
+        assert out.route(3).path == (2,)
+        assert_same_routes(propagate(graph, Announcement.single(2)), out)
 
     def test_withdrawal_via_delta(self, hierarchy):
         """Dropping an origin (withdrawal) through the delta path leaves

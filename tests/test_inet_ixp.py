@@ -3,7 +3,7 @@
 import pytest
 
 from repro.inet.gen import AmsIxConfig, InternetConfig, build_amsix, build_internet
-from repro.inet.ixp import IXP, RemotePeeringProvider, RequestOutcome
+from repro.inet.ixp import IXP, RemotePeeringProvider
 from repro.inet.topology import ASGraph, ASKind, ASNode, PeeringPolicy, TopologyError
 
 

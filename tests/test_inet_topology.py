@@ -4,9 +4,7 @@ import pytest
 
 from repro.inet.topology import (
     ASGraph,
-    ASKind,
     ASNode,
-    PeeringPolicy,
     Relationship,
     TopologyError,
 )

@@ -1,6 +1,5 @@
 """Cross-cutting property-based tests on core invariants."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bgp.attributes import ASPath, Origin, PathAttributes

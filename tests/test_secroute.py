@@ -31,7 +31,7 @@ from repro.core.safety import SafetyEnforcer, SafetyVerdict
 from repro.faults import FaultPlan
 from repro.inet.engine import PropagationEngine
 from repro.inet.gen import InternetConfig, build_internet
-from repro.inet.routing import Announcement, OriginSpec, propagate, resolve_lpm
+from repro.inet.routing import Announcement, OriginSpec, propagate
 from repro.inet.topology import ASGraph, ASNode
 from repro.net.addr import IPAddress, Prefix
 from repro.secroute import (

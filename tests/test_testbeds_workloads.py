@@ -7,7 +7,6 @@ from repro.inet.topology import ASKind
 from repro.testbeds import (
     ALL_TESTBEDS,
     PAPER_TABLE_1,
-    Goal,
     Support,
     capability_matrix,
     no_two_combine,
