@@ -20,7 +20,9 @@ is cheap *by construction*:
   announcements evaluated in a single affinity-grouped
   ``propagate_many`` sweep; prepend-only overrides chain off each other
   inside one affinity group, so the exact pass converges a handful of
-  deltas, not a sweep of fulls.
+  deltas, not a sweep of fulls.  A poison candidate names an entry
+  uplink, a neighbour its site announces to, so it still converges: the
+  engine patches per-spec poison swaps only among customer-less ASes.
 * **Scoring = imbalance + churn.**  Imbalance is the total-variation
   distance between measured and target volume shares; churn is the
   volume fraction that would flip sites, weighted by

@@ -42,9 +42,11 @@ changed announcement from the previous route table without converging
 :meth:`PropagationEngine.propagate_many`, which orders a sweep's cache
 misses by delta affinity and chains them through those regimes in one
 process.  A shift moves every export path by the same length and shares
-the previous table; unsecured, it may also swap poisoned ASes that have
-no customers, which can never export a route, by patching their slots
-alone in a copy (:func:`_swap_poison`).
+the previous table; unsecured, each spec may also swap its own poisoned
+ASes among ones that have no customers, which can never export a route,
+by patching their slots alone in a copy (:func:`_swap_poison`).  So the
+variants of an anycast sweep, which differ only in the stub each site
+poisons, can chain without a converge.
 """
 
 from __future__ import annotations
@@ -490,18 +492,26 @@ class CompiledOutcome(RoutingOutcome):
 
     def _path_of(self, i: int) -> Tuple[int, ...]:
         """Reconstruct the AS path by walking parent pointers to the
-        originating spec's export path."""
+        originating spec's export path.  A route visits each slot at most
+        once, so a walk that meets no origin within ``len(via)`` hops, or
+        meets a slot pointing nowhere, is a corrupt table and raises."""
         if self._kind[i] == _ORIGIN:
             return ()
         asns = self._compiled.asns
         via = self._via
         kind = self._kind
+        n = len(via)
         parts: List[int] = []
         cur = via[i]
-        while kind[cur] != _ORIGIN:
+        while cur >= 0 and kind[cur] != _ORIGIN and len(parts) < n:
             parts.append(asns[cur])
             cur = via[cur]
-        return tuple(parts) + self._specs[self._root[i]][1]
+        if cur >= 0 and kind[cur] == _ORIGIN:
+            return tuple(parts) + self._specs[self._root[i]][1]
+        raise RuntimeError(
+            f"corrupt route table: the via chain of AS{asns[i]} (slot {i}) "
+            + ("ends at an empty pointer" if cur < 0 else "reaches no origin")
+        )
 
     def reaches(self, asn: int) -> bool:
         i = self._compiled.idx.get(asn)
@@ -676,46 +686,44 @@ def _delta_regime(
     old_specs: Optional[Tuple[SpecT, ...]],
     new_specs: Tuple[SpecT, ...],
     security: Optional["CompiledSecurity"],
-) -> Tuple[str, int, Tuple[List[int], List[int]]]:
+) -> Tuple[str, int, List[int]]:
     """How to get ``new_specs``' route table from the one converged for
     ``old_specs`` on the same topology under the same security
     fingerprint (None = there is no such table): ``(mode, plen_shift,
-    (unpoisoned, poisoned))``, the last two the slots a shift patches.
+    slots)``, the last the slots a shift patches.
 
     * ``noop`` — identical specs: the old table is the answer.
     * ``shift`` — every spec keeps its origin and targets, every export
       path's length moves by the same ``d``, and the specs keep their
       ``(origin, export path, spec index)`` order, so every level of the
       kernel moves by ``d`` and (kind, via, root) is preserved, plen
-      shifted uniformly.  Unsecured, the export sets may also swap
-      poisoned ASes: a set R that every old spec names and no new one
-      does, and a set A the other way round, each AS in them absent from
-      the graph or customer-less, no origin and no neighbour a spec
-      announces to.  Such an AS never exports a route (it holds no
-      customer route, and peer and provider routes go to customers
-      only), so poisoning or unpoisoning it moves its own slot alone:
-      the R slots listed first, the A slots second.  Secured, only a
-      single spec with an unchanged export set, last hop and tail mask
-      shifts: acceptance reads those too.
+      shifted uniformly.  Unsecured, each spec's export set may also
+      change its own poisoned ASes, so long as every AS that any spec
+      adds or drops is absent from the graph or customer-less, no origin
+      and no neighbour a spec announces to.  Such an AS never exports a
+      route (it holds no customer route, and peer and provider routes go
+      to customers only), so which specs name it moves its own slot
+      alone: those slots are listed.  Secured, only a single spec with
+      an unchanged export set, last hop and tail mask shifts: acceptance
+      reads those too.
     * ``fallback`` — a reusable table, but the change is neither; and
       ``full`` — no reusable table.  Both converge from scratch.
 
-    The per-spec checks come first, so a change that moves one spec of
-    many (an anycast sweep's variants) is rejected in O(#specs).
+    The per-spec checks come first, so a change that moves one spec's
+    prepend and not the others' is rejected in O(#specs).
     """
-    no_swap: Tuple[List[int], List[int]] = ([], [])
     if old_specs is None:
-        return "full", 0, no_swap
+        return "full", 0, []
     if new_specs == old_specs:
-        return "noop", 0, no_swap
+        return "noop", 0, []
     if len(new_specs) != len(old_specs):
-        return "fallback", 0, no_swap
+        return "fallback", 0, []
     d = len(new_specs[0][1]) - len(old_specs[0][1])
     for (ooi, oepath, _oeset, oato), (noi, nepath, _neset, nato) in zip(
         old_specs, new_specs
     ):
         if noi != ooi or nato != oato or len(nepath) - len(oepath) != d:
-            return "fallback", 0, no_swap
+            return "fallback", 0, []
     if security is not None:
         _oi, oepath, oeset, _ato = old_specs[0]
         _ni, nepath, neset, _nto = new_specs[0]
@@ -725,61 +733,64 @@ def _delta_regime(
             and nepath[-1] == oepath[-1]
             and security.path_mask(nepath[1:]) == security.path_mask(oepath[1:])
         ):
-            return "shift", d, no_swap
-        return "fallback", 0, no_swap
+            return "shift", d, []
+        return "fallback", 0, []
     if len(new_specs) > 1 and sorted(
         range(len(new_specs)), key=lambda si: new_specs[si][:2]
     ) != sorted(range(len(old_specs)), key=lambda si: old_specs[si][:2]):
-        return "fallback", 0, no_swap
-    removed = old_specs[0][2] - new_specs[0][2]
-    added = new_specs[0][2] - old_specs[0][2]
-    for (_oi, _oepath, oeset, _oato), (_ni, _nepath, neset, _nato) in zip(
-        old_specs, new_specs
-    ):
-        if oeset - neset != removed or neset - oeset != added:
-            return "fallback", 0, no_swap
-    swap: Tuple[List[int], List[int]] = ([], [])
-    for slots, asns in zip(swap, (removed, added)):
-        for asn in asns:
-            i = ct.idx.get(asn)
-            if i is None:
-                continue
-            if ct.customers[i]:
-                return "fallback", 0, no_swap
-            for oi, _epath, _eset, ato in new_specs:
-                if i == oi or (
-                    (ato is None or asn in ato)
-                    and (oi in ct.providers[i] or oi in ct.peers[i])
-                ):
-                    return "fallback", 0, no_swap
-            slots.append(i)
-    return "shift", d, swap
+        return "fallback", 0, []
+    changed: Set[int] = set()
+    for old, new in zip(old_specs, new_specs):
+        changed |= old[2] ^ new[2]
+    slots: List[int] = []
+    for asn in changed:
+        i = ct.idx.get(asn)
+        if i is None:
+            continue
+        if ct.customers[i]:
+            return "fallback", 0, []
+        for oi, _epath, _eset, ato in new_specs:
+            if i == oi or (
+                (ato is None or asn in ato)
+                and (oi in ct.providers[i] or oi in ct.peers[i])
+            ):
+                return "fallback", 0, []
+        slots.append(i)
+    return "shift", d, slots
 
 
 def _swap_poison(
-    ct: CompiledTopology, table: TableT, unpoisoned: List[int], poisoned: List[int]
+    ct: CompiledTopology, table: TableT, specs: Tuple[SpecT, ...], slots: List[int]
 ) -> TableT:
-    """``table`` with customer-less slots unpoisoned or poisoned, each
-    given the route the kernel would (see :func:`_delta_regime`).
+    """``table`` with customer-less ``slots`` given the route the kernel
+    would under ``specs`` (see :func:`_delta_regime`).
 
-    A poisoned slot is cleared.  An unpoisoned slot takes the minimum
+    A slot's barred specs are those whose export set names it.  Named by
+    every spec, the slot is cleared.  Otherwise it takes the minimum
     ``(plen + 1, index)`` offer among its peers holding a customer route
-    (phase 2), else among its providers holding any non-origin route
-    (phase 3); ``plen`` stays in ``table``'s frame.  No copy when there
-    is nothing to patch."""
-    if not unpoisoned and not poisoned:
+    whose root spec is not barred (phase 2), else among its providers
+    holding any non-origin route with such a root (phase 3) — the
+    kernel's ``partial`` check.  ``plen`` stays in ``table``'s frame.  No
+    copy when there is nothing to patch."""
+    if not slots:
         return table
     kind, via, root, plen = table
     kind, via, root, plen = bytearray(kind), list(via), list(root), list(plen)
-    for i in poisoned:
+    for i in slots:
+        asn = ct.asns[i]
+        barred = {si for si, spec in enumerate(specs) if asn in spec[2]}
         kind[i], via[i], root[i], plen[i] = 0, -1, -1, 0
-    for i in unpoisoned:
-        offers = [(plen[v] + 1, v) for v in ct.peers[i] if kind[v] == _CUSTOMER]
+        if len(barred) == len(specs):
+            continue
+        offers = [
+            (plen[v] + 1, v) for v in ct.peers[i]
+            if kind[v] == _CUSTOMER and root[v] not in barred
+        ]
         k = _PEER
         if not offers:
             offers = [
                 (plen[v] + 1, v) for v in ct.providers[i]
-                if kind[v] and kind[v] != _ORIGIN
+                if kind[v] and kind[v] != _ORIGIN and root[v] not in barred
             ]
             k = _PROVIDER
         if offers:
@@ -886,9 +897,9 @@ class PropagationEngine:
         * **shift** — every spec keeps its origin and targets and its
           export path moves by the same length (prepend engineering):
           every route keeps its (kind, via) and shifts ``plen``
-          uniformly, sharing the previous table.  Unsecured, the poison
-          may also swap among ASes without customers, whose slots alone
-          are patched in a copy.
+          uniformly, sharing the previous table.  Unsecured, each spec's
+          poison may also swap among ASes without customers, whose slots
+          alone are patched in a copy.
         * **fallback** — ``prev_outcome`` is reusable but the change is
           neither of the above: one full convergence.
         * **full** — ``prev_outcome`` is not reusable (None, another
@@ -947,7 +958,7 @@ class PropagationEngine:
             and prev._security_fp == sec_fp
         ):
             base = prev
-        mode, shift, (unpoisoned, poisoned) = _delta_regime(
+        mode, shift, slots = _delta_regime(
             compiled, None if base is None else base._specs, specs, security
         )
         outcome: CompiledOutcome
@@ -962,7 +973,7 @@ class PropagationEngine:
                 # itself carries.
                 table = _swap_poison(
                     compiled, (base._kind, base._via, base._root, base._plen),
-                    unpoisoned, poisoned,
+                    specs, slots,
                 )
                 shift += base._plen_shift
             else:
@@ -974,9 +985,7 @@ class PropagationEngine:
         if chained:
             self._delta_runs.labels(mode).inc()
             if mode in ("noop", "shift"):
-                self._delta_saved.inc(
-                    float(compiled.n - len(unpoisoned) - len(poisoned))
-                )
+                self._delta_saved.inc(float(compiled.n - len(slots)))
         self._seconds.observe(perf_counter() - started)
         return outcome
 
@@ -993,8 +1002,10 @@ class PropagationEngine:
         Misses are reordered for delta affinity (same steering group —
         and same security fingerprint — adjacent) and chained through
         incremental reconvergence, so a steering sweep pays full
-        converges only at group boundaries.  Secured sweeps compile the
-        policy per announcement (verdicts depend on prefix and origins).
+        converges at most at group boundaries; a boundary that only swaps
+        customer-less poisons, per spec, shifts too.  Secured sweeps
+        compile the policy per announcement (verdicts depend on prefix
+        and origins).
         """
         announcements = list(announcements)
         compiled = self.compiled()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..inet.engine import PropagationEngine
 from ..inet.gen import InternetConfig, build_internet
@@ -54,7 +54,7 @@ from ..inet.routing import (
 from ..inet.topology import ASGraph
 from ..net.addr import IPAddress, Prefix, parse_prefix
 from ..telemetry.metrics import MetricsRegistry
-from .policy import RovMode, SecurityPolicy
+from .policy import CompiledSecurity, RovMode, SecurityPolicy
 from .rpki import Roa, RoaRegistry
 
 __all__ = [
@@ -108,7 +108,7 @@ class _MergedOutcome:
 def _run_filtered(
     graph: ASGraph,
     announcement: Announcement,
-    compiled_sec,
+    compiled_sec: Optional[CompiledSecurity],
     engine: Optional[PropagationEngine],
 ) -> RoutingOutcome:
     if engine is not None:
@@ -170,7 +170,7 @@ class AttackSurface:
         self.engine = engine
         self._specs: Dict[Prefix, List[OriginSpec]] = {}
 
-    def announce(self, asn: int, prefix: Prefix, **spec_kwargs) -> None:
+    def announce(self, asn: int, prefix: Prefix, **spec_kwargs: Any) -> None:
         self._specs.setdefault(prefix, []).append(OriginSpec(asn=asn, **spec_kwargs))
 
     def withdraw(self, asn: int, prefix: Prefix) -> None:

@@ -1,10 +1,12 @@
-"""Every name a ``repro`` module lists in ``__all__`` exists in it, and
-every name a ``repro`` module, test, benchmark, example or script imports
-is used by it."""
+"""Every name a ``repro`` module lists in ``__all__`` exists in it, every
+name a ``repro`` module, test, benchmark, example or script imports is
+used by it, and every def of a module held to strict typing is fully
+annotated."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import repro
@@ -79,3 +81,69 @@ def test_no_module_imports_a_name_it_does_not_use():
     ]
     assert all(tree.is_dir() for tree in trees)
     assert unused == []
+
+
+def unannotated_defs(source: str) -> list:
+    """``(line, name)`` of every def in ``source``, nested ones included,
+    that leaves a parameter (bar a leading ``self`` / ``cls``) or its
+    return unannotated: what mypy's ``disallow_incomplete_defs`` and
+    ``disallow_untyped_defs`` reject."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        params = positional + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        if positional and positional[0].arg in ("self", "cls"):
+            params = params[1:]
+        if node.returns is None or any(p.annotation is None for p in params):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_unannotated_defs_are_found():
+    source = (
+        "class A:\n"
+        "    def ok(self, x: int) -> None:\n"
+        "        def inner(y):\n"
+        "            return y\n"
+        "    def no_return(self, x: int):\n"
+        "        pass\n"
+        "def kw(*args: int, **kwargs) -> None:\n"
+        "    pass\n"
+        "def typed(cls, *, k: str = '') -> str:\n"
+        "    return k\n"
+    )
+    assert unannotated_defs(source) == [(3, "inner"), (5, "no_return"), (7, "kw")]
+
+
+def test_strict_modules_annotate_every_def():
+    """CI's ``typecheck`` job holds the modules ``pyproject.toml``'s strict
+    mypy override names to complete annotations.  The module list is read
+    with a regex (CI's ``tests`` job runs Python 3.10, which has no
+    ``tomllib``), and every def of those modules must annotate every
+    parameter and its return."""
+    root = Path(__file__).resolve().parents[1]
+    config = (root / "pyproject.toml").read_text()
+    block = re.search(
+        r"\[\[tool\.mypy\.overrides\]\][^\[]*?module\s*=\s*\[(.*?)\]"
+        r"(?:(?!\[\[).)*?disallow_incomplete_defs\s*=\s*true",
+        config, re.S,
+    )
+    assert block is not None
+    src = root / "src"
+    paths = []
+    for module in re.findall(r'"(repro[^"]*)"', block.group(1)):
+        base = src.joinpath(*module.rstrip(".*").split("."))
+        paths += sorted(base.rglob("*.py")) if module.endswith(".*") else [
+            base.with_suffix(".py")
+        ]
+    assert len(paths) > 7 and all(path.is_file() for path in paths)
+    incomplete = [
+        f"{path.relative_to(root)}:{line} {name}"
+        for path in paths
+        for line, name in unannotated_defs(path.read_text())
+    ]
+    assert incomplete == []

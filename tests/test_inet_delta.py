@@ -280,6 +280,99 @@ def test_property_secured_chain_never_swaps_poison(seed):
             assert engine.stats()["delta"]["shift"] == shifts
 
 
+def per_spec_chain(graph, rng, steps=10):
+    """An anycast-like chain: one or two origins, two or three specs with
+    their own ``announce_to`` subsets, each spec poisoning as many ASes as
+    the others.  Most steps redraw each spec's poison on its own, some
+    share one poison among every spec, some move every prepend together,
+    and some move one spec's prepend or poison count alone.  Poisons are
+    mostly customer-less ASes, sometimes transit ASes, neighbours of an
+    origin or ASNs the graph does not hold."""
+    asns = sorted(graph.asns())
+    origins = rng.sample(asns, rng.randint(1, 2))
+    neighbours = sorted({n for o in origins for n in graph.neighbors(o)})
+    pools = {
+        "customerless": [
+            a for a in sorted(graph.stub_asns())
+            if a not in origins and a not in neighbours
+        ],
+        "transit": [a for a in asns if graph.customers(a) and a not in origins],
+        "neighbour": neighbours,
+        "absent": [asns[-1] + 1, asns[-1] + 2],
+    }
+
+    def draw(count):
+        pool = pools[rng.choices(list(pools), weights=(8, 1, 1, 1))[0]]
+        return tuple(rng.sample(pool, min(len(pool), count)))
+
+    def targets(origin):
+        near = sorted(graph.neighbors(origin))
+        if not near or rng.random() < 0.3:
+            return None
+        return tuple(rng.sample(near, rng.randint(1, len(near))))
+
+    count = rng.randint(1, 2)
+    specs = [
+        OriginSpec(origin, prepend=rng.randint(0, 2), announce_to=targets(origin),
+                   poison=draw(count))
+        for origin in (rng.choice(origins) for _ in range(rng.randint(2, 3)))
+    ]
+    for _ in range(steps):
+        step = rng.choices(("per-spec", "shared", "prepend", "one"), (6, 2, 1, 1))[0]
+        if step == "shared":
+            poison = draw(count)
+            specs = [replace(s, poison=poison) for s in specs]
+        elif step == "one":
+            i = rng.randrange(len(specs))
+            specs[i] = replace(specs[i], prepend=rng.randint(0, 3),
+                               poison=draw(rng.randint(0, 2)))
+        else:
+            d = 0 if step == "per-spec" else rng.randint(-min(s.prepend for s in specs), 2)
+            specs = [
+                replace(s, prepend=s.prepend + d,
+                        poison=s.poison if rng.random() < 0.3 else draw(len(s.poison)))
+                for s in specs
+            ]
+        yield Announcement(origins=tuple(specs), prefix=V20)
+
+
+def export_sets(announcement):
+    return [set(spec.export_path()) for spec in announcement.origins]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_property_per_spec_poison_chain_matches_full_runs(seed):
+    """Every table of a per-spec poison chain, its pending shift applied,
+    equals a full convergence's array for array, and its routes the
+    reference's.  A step that changes whether some spec poisons a transit
+    AS, or a neighbour a spec announces to, never counts as shift."""
+    rng = random.Random(seed)
+    graph = build_internet(InternetConfig(n_ases=80, seed=seed)).graph
+    engine = PropagationEngine(graph)
+    prev, before = None, None
+    for announcement in per_spec_chain(graph, rng):
+        shifts = engine.stats()["delta"]["shift"]
+        prev = engine.propagate_delta(prev, announcement, use_cache=False)
+        full = engine.propagate(announcement, use_cache=False)
+        assert effective_table(prev) == effective_table(full)
+        assert_same_routes(propagate(graph, announcement), prev)
+        if before is not None:
+            changed = set().union(*(
+                old ^ new for old, new in zip(before, export_sets(announcement))
+            ))
+            announced_to = {
+                n for spec in announcement.origins for n in graph.neighbors(spec.asn)
+                if spec.announce_to is None or n in spec.announce_to
+            }
+            if any(
+                a in graph and (graph.customers(a) or a in announced_to)
+                for a in changed
+            ):
+                assert engine.stats()["delta"]["shift"] == shifts
+        before = export_sets(announcement)
+
+
 class TestAffinityOrder:
     def test_groups_by_key(self):
         keys = ["a", "b", "a", "b", "a"]
@@ -420,8 +513,10 @@ class TestDeltaRegimes:
         }
 
     def test_partial_poison_falls_back(self, hierarchy):
-        """A customer-less AS poisoned by one spec of two is no swap: the
-        other spec still offers it a route."""
+        """A customer-less AS poisoned by one spec of two falls back:
+        poisoning lengthens that spec's export path by two while the
+        other's keeps its length, so the kernel's levels do not all move
+        by one ``d``."""
         engine = PropagationEngine(hierarchy)
         base_ann = Announcement(
             origins=(OriginSpec(5, announce_to=(3,)), OriginSpec(5, announce_to=(7, 8)))
@@ -462,6 +557,71 @@ class TestDeltaRegimes:
             assert effective_table(outcome) == effective_table(full)
             assert_same_routes(propagate(hierarchy, announcement), outcome)
         assert engine.stats()["delta"]["shift"] == 2
+
+    @pytest.fixture
+    def two_uplinks(self):
+        """Origin 10 announces one spec to each provider, 20 and 30 (peers
+        of each other).  Customer-less: 40 and 50 below 20 only, 90 below
+        30 only, and 70, a peer of 20 and a customer of 30.  90 is the
+        largest ASN, so a spec poisoning it sorts last and the specs keep
+        their order across every swap below."""
+        return graph_from_edges(
+            c2p=[(10, 20), (10, 30), (40, 20), (50, 20), (90, 30), (70, 30)],
+            p2p=[(20, 30), (20, 70)],
+        )
+
+    @staticmethod
+    def uplink_specs(poison_20, poison_30):
+        return Announcement(origins=(
+            OriginSpec(10, announce_to=(20,), poison=poison_20),
+            OriginSpec(10, announce_to=(30,), poison=poison_30),
+        ))
+
+    def patched_chain(self, graph, steps):
+        """Chain ``steps`` of (poison via 20, poison via 30) from a full
+        run of the first; every later step must be a patched shift whose
+        table equals a full run's.  Returns the outcomes."""
+        engine = PropagationEngine(graph)
+        prev = engine.propagate(self.uplink_specs(*steps[0]), use_cache=False)
+        outcomes = [prev]
+        for shifts, poisons in enumerate(steps[1:], start=1):
+            announcement = self.uplink_specs(*poisons)
+            base, prev = prev, engine.propagate_delta(prev, announcement, use_cache=False)
+            assert engine.stats()["delta"]["shift"] == shifts
+            assert prev._kind is not base._kind and prev._via is not base._via
+            full = engine.propagate(announcement, use_cache=False)
+            assert effective_table(prev) == effective_table(full)
+            assert_same_routes(propagate(graph, announcement), prev)
+            outcomes.append(prev)
+        return outcomes
+
+    def test_equal_length_swap_in_one_spec_of_two_is_a_patched_shift(self, two_uplinks):
+        """The spec via 20 swaps its poison from 40 to 50 while the spec
+        via 30 keeps 90: 40 regains its route through 20, and 50 loses
+        its one, as its only offer is rooted at the spec naming it."""
+        _, swapped = self.patched_chain(two_uplinks, [((40,), (90,)), ((50,), (90,))])
+        assert swapped.route(40).path == (20, 10, 50, 10)
+        assert not swapped.reaches(50) and not swapped.reaches(90)
+
+    def test_slot_barred_from_its_peer_takes_its_provider_route(self, two_uplinks):
+        """70 prefers its peer 20's customer route; poisoned by the spec
+        via 20 alone, it takes its provider 30's route, rooted at the
+        other spec."""
+        unpoisoned, barred = self.patched_chain(
+            two_uplinks, [((40,), (90,)), ((70,), (90,))]
+        )
+        assert unpoisoned.route(70).kind is RouteKind.PEER
+        assert barred.route(70).kind is RouteKind.PROVIDER
+        assert barred.route(70).path == (30, 10, 90, 10)
+
+    def test_slot_named_by_every_spec_is_cleared(self, two_uplinks):
+        """70, named by the spec via 20 and then by both, ends unreached;
+        90, named by neither any more, is reached through 30."""
+        *_, cleared = self.patched_chain(
+            two_uplinks, [((70,), (90,)), ((70,), (70,))]
+        )
+        assert not cleared.reaches(70)
+        assert cleared.route(90).path == (30, 10, 70, 10)
 
     def test_unpoisoned_slot_prefers_a_peer_over_a_shorter_provider_route(self):
         """AS 40 has a one-hop-shorter offer from its provider 20 than from

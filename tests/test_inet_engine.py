@@ -481,6 +481,29 @@ class TestCompiledOutcomeSurface:
                 assert kind[i] and 0 <= root[i] < len(origins)
                 assert outcome.route(asn).path[-1] == origins[root[i]].asn
 
+    @pytest.mark.parametrize(
+        "slot, points_to, asn, message",
+        [(3, 7, 6, "reaches no origin"), (4, None, 4, "empty pointer")],
+        ids=["via cycle", "via -1 on a reached slot"],
+    )
+    def test_corrupt_via_chain_raises(self, slot, points_to, asn, message):
+        """A corrupt route table makes the path walk raise, naming the
+        slot, within the table's size: a via cycle (3 -> 7 -> 3) does not
+        loop forever, and a reached slot whose via is -1 does not wrap to
+        the last slot."""
+        graph = graph_from_edges(
+            c2p=[(3, 1), (4, 2), (5, 3), (6, 4), (7, 3)],
+            p2p=[(1, 2), (3, 4)],
+        )
+        outcome = PropagationEngine(graph).propagate(
+            Announcement.single(5), use_cache=False
+        )
+        index_of = outcome._compiled.idx
+        outcome._via = list(outcome._via)
+        outcome._via[index_of[slot]] = -1 if points_to is None else index_of[points_to]
+        with pytest.raises(RuntimeError, match=f"AS{asn} .*{message}"):
+            outcome.route(asn)
+
     def test_duplicate_specs_break_on_spec_index(self):
         """Two specs with one export path tie on everything but their
         index: the first roots what climbs and descends (heap order), the
